@@ -1,11 +1,13 @@
 package channel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"uwpos/internal/dsp"
 	"uwpos/internal/geom"
 )
 
@@ -257,29 +259,6 @@ func TestRenderFractionalDelaySubSample(t *testing.T) {
 	}
 }
 
-func TestRenderFastMatchesRenderForIntegerDelays(t *testing.T) {
-	const fs = 44100.0
-	rng := rand.New(rand.NewSource(5))
-	wave := make([]float64, 256)
-	for i := range wave {
-		wave[i] = rng.NormFloat64()
-	}
-	taps := []Tap{{DelaySec: 100 / fs, Amplitude: 0.7}, {DelaySec: 350 / fs, Amplitude: -0.3}}
-	a := make([]float64, 2048)
-	b := make([]float64, 2048)
-	Render(a, wave, taps, 10, fs)
-	RenderFast(b, wave, taps, 10, fs)
-	// Compare energy and peak alignment (sinc kernel ripples slightly).
-	var ea, eb float64
-	for i := range a {
-		ea += a[i] * a[i]
-		eb += b[i] * b[i]
-	}
-	if math.Abs(ea-eb) > 0.02*eb {
-		t.Errorf("energy mismatch %g vs %g", ea, eb)
-	}
-}
-
 func TestAddNoiseStatistics(t *testing.T) {
 	env := Boathouse()
 	rng := rand.New(rand.NewSource(7))
@@ -357,5 +336,246 @@ func TestPoissonMeanProperty(t *testing.T) {
 	}
 	if poisson(rng, 0) != 0 || poisson(rng, -1) != 0 {
 		t.Error("non-positive lambda should give 0")
+	}
+}
+
+// Wave lengths the simulator renders: a ranging message (preamble plus
+// ID fields) and an FSK report.
+var renderWaveLens = []int{12260, 44100}
+
+// renderDirect is the direct time-domain renderer Render replaced, kept
+// as the oracle: for every tap it builds the 33-tap windowed-sinc kernel
+// and adds the scaled, delayed wave sample by sample.
+func renderDirect(dst, wave []float64, taps []Tap, txStart int, fs float64) {
+	const half = kernelTaps / 2
+	for _, tap := range taps {
+		delay := tap.DelaySec * fs
+		whole := int(math.Floor(delay))
+		frac := delay - float64(whole)
+		kern := dsp.FractionalDelayTaps(frac, kernelTaps)
+		base := txStart + whole - half
+		for i, v := range wave {
+			if v == 0 {
+				continue
+			}
+			sv := v * tap.Amplitude
+			for k, kv := range kern {
+				idx := base + i + k
+				if idx < 0 || idx >= len(dst) {
+					continue
+				}
+				dst[idx] += sv * kv
+			}
+		}
+	}
+}
+
+func randomWave(n int, rng *rand.Rand) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = rng.NormFloat64()
+	}
+	return w
+}
+
+// linkTaps draws a full channel realization between two random points,
+// as the simulator does: image-method taps, a surface-jitter draw and
+// the diffuse scatter tail.
+func linkTaps(env *Environment, rng *rand.Rand) []Tap {
+	tx := geom.Vec3{X: 0, Y: 0, Z: 0.5 + rng.Float64()*(env.BottomDepthM-1)}
+	rx := geom.Vec3{X: 5 + 40*rng.Float64(), Y: 10 * rng.Float64(), Z: 0.5 + rng.Float64()*(env.BottomDepthM-1)}
+	taps := env.ImpulseResponse(tx, rx, ImpulseOptions{})
+	taps = env.DrawSurfaceJitter(rng, 3, tx.Dist(rx)).Apply(taps)
+	return env.WithScatter(taps, rng)
+}
+
+// assertMatchesOracle renders taps with Render and with renderDirect on
+// top of the same starting content and requires every sample to agree
+// to 1e-9 of the oracle's peak magnitude.
+func assertMatchesOracle(t *testing.T, dstLen int, wave []float64, taps []Tap, txStart int) {
+	t.Helper()
+	const fs = 44100.0
+	base := randomWave(dstLen, rand.New(rand.NewSource(int64(dstLen))))
+	want := append([]float64(nil), base...)
+	got := append([]float64(nil), base...)
+	renderDirect(want, wave, taps, txStart, fs)
+	Render(got, wave, taps, txStart, fs)
+	var peak, worst float64
+	for i := range want {
+		peak = max(peak, math.Abs(want[i]))
+		worst = max(worst, math.Abs(got[i]-want[i]))
+	}
+	if worst > 1e-9*peak {
+		t.Errorf("max error %.3g exceeds 1e-9 of peak %.3g", worst, peak)
+	}
+}
+
+func TestRenderMatchesDirectOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, env := range []*Environment{Dock(), Boathouse()} {
+		for _, n := range renderWaveLens {
+			t.Run(fmt.Sprintf("%s/wave=%d", env.Name, n), func(t *testing.T) {
+				wave := randomWave(n, rng)
+				taps := linkTaps(env, rng)
+				const fs = 44100.0
+				start := 1000 + rng.Intn(3000)
+				end := start + int(taps[len(taps)-1].DelaySec*fs) + n + kernelTaps
+				assertMatchesOracle(t, end+500, wave, taps, start)
+			})
+		}
+	}
+}
+
+func TestRenderEmptyTapsIsNoOp(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	dst := randomWave(4000, rng)
+	want := append([]float64(nil), dst...)
+	Render(dst, randomWave(1000, rng), nil, 100, 44100)
+	src := NewSource(randomWave(1000, rng), 0)
+	src.Add(dst, nil)
+	src.Release()
+	for i := range dst {
+		if dst[i] != want[i] {
+			t.Fatalf("empty tap list changed dst[%d]", i)
+		}
+	}
+}
+
+func TestRenderClipsOutsideDst(t *testing.T) {
+	const fs = 44100.0
+	rng := rand.New(rand.NewSource(14))
+	wave := randomWave(3000, rng)
+	taps := []Tap{
+		{DelaySec: 10.3 / fs, Amplitude: 0.8},
+		{DelaySec: 2500.6 / fs, Amplitude: -0.4},
+		{DelaySec: 7900.2 / fs, Amplitude: 0.3},
+		{DelaySec: 20000.5 / fs, Amplitude: 0.2}, // lands wholly past dst
+	}
+	// Copies that start before index 0 and run past len(dst).
+	assertMatchesOracle(t, 9000, wave, taps, -2000)
+	// Every copy outside dst: nothing changes.
+	assertMatchesOracle(t, 9000, wave, taps, 50000)
+	assertMatchesOracle(t, 9000, wave, taps[:1], -4000)
+}
+
+// TestRenderIntegerDelays: at whole-sample delays the fractional-delay
+// kernel is a unit impulse, so Render reduces to shift-and-scale — the
+// nearest-sample placement the detection studies render with.
+func TestRenderIntegerDelays(t *testing.T) {
+	const fs = 44100.0
+	rng := rand.New(rand.NewSource(5))
+	wave := randomWave(256, rng)
+	taps := []Tap{{DelaySec: 100 / fs, Amplitude: 0.7}, {DelaySec: 350 / fs, Amplitude: -0.3}}
+	got := make([]float64, 2048)
+	Render(got, wave, taps, 10, fs)
+	want := make([]float64, 2048)
+	for _, tap := range taps {
+		shift := 10 + int(math.Round(tap.DelaySec*fs))
+		for i, v := range wave {
+			want[shift+i] += v * tap.Amplitude
+		}
+	}
+	var peak, worst float64
+	for i := range want {
+		peak = max(peak, math.Abs(want[i]))
+		worst = max(worst, math.Abs(got[i]-want[i]))
+	}
+	if worst > 1e-9*peak {
+		t.Errorf("max error %.3g exceeds 1e-9 of peak %.3g", worst, peak)
+	}
+	assertMatchesOracle(t, 2048, wave, taps, 10)
+}
+
+// TestRenderSingleTapLoopback: the simulator's near-field loopback is one
+// loud arrival at a fractional index.
+func TestRenderSingleTapLoopback(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range renderWaveLens {
+		wave := randomWave(n, rng)
+		assertMatchesOracle(t, n+9000, wave, []Tap{{DelaySec: 4.37 / 44100, Amplitude: 0.9}}, 6000)
+	}
+}
+
+// TestSourceWiderThanSpan: a Source sized for a narrow response still
+// renders a wider one exactly, in several blocks.
+func TestSourceWiderThanSpan(t *testing.T) {
+	const fs = 44100.0
+	rng := rand.New(rand.NewSource(16))
+	wave := randomWave(2000, rng)
+	taps := linkTaps(Dock(), rng)
+	want := make([]float64, 20000)
+	renderDirect(want, wave, taps, 300, fs)
+	arr := make([]Arrival, len(taps))
+	for i, tap := range taps {
+		arr[i] = Arrival{Index: 300 + tap.DelaySec*fs, Amplitude: tap.Amplitude}
+	}
+	got := make([]float64, len(want))
+	src := NewSource(wave, 10)
+	src.Add(got, arr)
+	src.Release()
+	var peak, worst float64
+	for i := range want {
+		peak = max(peak, math.Abs(want[i]))
+		worst = max(worst, math.Abs(got[i]-want[i]))
+	}
+	if worst > 1e-9*peak {
+		t.Errorf("max error %.3g exceeds 1e-9 of peak %.3g", worst, peak)
+	}
+}
+
+// TestSourceAddSteadyStateAllocs: once a Source holds its spectrum, each
+// receiver render allocates nothing.
+func TestSourceAddSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	wave := randomWave(12260, rng)
+	taps := linkTaps(Dock(), rng)
+	arr := make([]Arrival, len(taps))
+	for i, tap := range taps {
+		arr[i] = Arrival{Index: 500 + tap.DelaySec*44100, Amplitude: tap.Amplitude}
+	}
+	src := NewSource(wave, arr[len(arr)-1].Index-arr[0].Index)
+	defer src.Release()
+	dst := make([]float64, 60000)
+	src.Add(dst, arr)
+	if allocs := testing.AllocsPerRun(20, func() { src.Add(dst, arr) }); allocs != 0 {
+		t.Fatalf("warm Source.Add allocates %.1f times per render, want 0", allocs)
+	}
+}
+
+// BenchmarkChannelRender times one receiver-mic render through a dock
+// channel (image taps, surface jitter and scatter tail) on a warm Source,
+// and separately the once-per-transmission Source build.
+func BenchmarkChannelRender(b *testing.B) {
+	rng := rand.New(rand.NewSource(18))
+	env := Dock()
+	tx := geom.Vec3{X: 0, Y: 0, Z: 2}
+	rx := geom.Vec3{X: 20, Y: 3, Z: 3}
+	taps := env.ImpulseResponse(tx, rx, ImpulseOptions{})
+	taps = env.DrawSurfaceJitter(rng, 3, tx.Dist(rx)).Apply(taps)
+	taps = env.WithScatter(taps, rng)
+	arr := make([]Arrival, len(taps))
+	for i, tap := range taps {
+		arr[i] = Arrival{Index: 1000 + tap.DelaySec*44100, Amplitude: tap.Amplitude}
+	}
+	span := arr[len(arr)-1].Index - arr[0].Index
+	for _, n := range renderWaveLens {
+		wave := randomWave(n, rng)
+		dst := make([]float64, n+int(arr[len(arr)-1].Index)+kernelTaps)
+		b.Run(fmt.Sprintf("wave=%d/add", n), func(b *testing.B) {
+			src := NewSource(wave, span)
+			defer src.Release()
+			src.Add(dst, arr)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Add(dst, arr)
+			}
+		})
+		b.Run(fmt.Sprintf("wave=%d/source", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewSource(wave, span).Release()
+			}
+		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"uwpos/internal/dsp"
 	"uwpos/internal/geom"
 )
 
@@ -56,9 +55,9 @@ func (o *ImpulseOptions) defaults() {
 // classical vertical unfoldings are
 //
 //	d₁ = 2hm + (z_r − z_s)        m surface + m bottom bounces
-//	d₂ = 2hm + (z_r + z_s)        m+? — surface-first family
-//	d₃ = 2h(m+1) − (z_r + z_s)    bottom-first family
-//	d₄ = 2h(m+1) − (z_r − z_s)    closing the order
+//	d₂ = 2hm + (z_r + z_s)        m+1 surface + m bottom (surface first)
+//	d₃ = 2h(m+1) − (z_r + z_s)    m surface + m+1 bottom (bottom first)
+//	d₄ = 2h(m+1) − (z_r − z_s)    m+1 surface + m+1 bottom
 //
 // Amplitudes follow 1/L spherical spreading with Thorp absorption at the
 // band centre, times the per-bounce boundary coefficients.
@@ -148,51 +147,6 @@ func (e *Environment) scatterTaps(taps []Tap, rng *rand.Rand) []Tap {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DelaySec < out[j].DelaySec })
 	return out
-}
-
-// Render adds the waveform wave, transmitted at sample index txStart of the
-// destination timeline, into dst through the given taps at sample rate fs.
-// Fractional tap delays are realized with a 33-tap windowed-sinc kernel, so
-// sub-sample timing (needed by the 16 cm dual-mic geometry, ~4.7 samples
-// apart at most) is preserved. Samples beyond len(dst) are dropped.
-func Render(dst, wave []float64, taps []Tap, txStart int, fs float64) {
-	const kernelTaps = 33
-	half := kernelTaps / 2
-	for _, tap := range taps {
-		delay := tap.DelaySec * fs
-		whole := int(math.Floor(delay))
-		frac := delay - float64(whole)
-		kern := dsp.FractionalDelayTaps(frac, kernelTaps)
-		base := txStart + whole - half
-		for i, v := range wave {
-			if v == 0 {
-				continue
-			}
-			sv := v * tap.Amplitude
-			for k, kv := range kern {
-				idx := base + i + k
-				if idx < 0 || idx >= len(dst) {
-					continue
-				}
-				dst[idx] += sv * kv
-			}
-		}
-	}
-}
-
-// RenderFast is Render with nearest-sample tap placement; ~30× faster and
-// adequate when sub-sample timing is irrelevant (e.g. noise-floor studies).
-func RenderFast(dst, wave []float64, taps []Tap, txStart int, fs float64) {
-	for _, tap := range taps {
-		shift := txStart + int(math.Round(tap.DelaySec*fs))
-		for i, v := range wave {
-			idx := shift + i
-			if idx < 0 || idx >= len(dst) {
-				continue
-			}
-			dst[idx] += v * tap.Amplitude
-		}
-	}
 }
 
 // AddNoise fills dst with the environment's ambient Gaussian noise plus

@@ -13,9 +13,17 @@ func FractionalDelayTaps(frac float64, numTaps int) []float64 {
 		return nil
 	}
 	h := make([]float64, numTaps)
+	FractionalDelayInto(h, frac)
+	return h
+}
+
+// FractionalDelayInto is FractionalDelayTaps writing the len(h)-tap kernel
+// into h, for callers that build many kernels without allocating.
+func FractionalDelayInto(h []float64, frac float64) {
+	numTaps := len(h)
 	center := float64(numTaps-1)/2 + frac
 	var sum float64
-	for i := 0; i < numTaps; i++ {
+	for i := range h {
 		t := float64(i) - center
 		// Hann-windowed sinc.
 		w := 0.5 + 0.5*math.Cos(math.Pi*t/(float64(numTaps)/2))
@@ -31,7 +39,6 @@ func FractionalDelayTaps(frac float64, numTaps int) []float64 {
 			h[i] /= sum
 		}
 	}
-	return h
 }
 
 // ResampleLinear resamples x by the given rate ratio (outputRate/inputRate)

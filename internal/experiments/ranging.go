@@ -169,6 +169,16 @@ type DetectionCounts struct {
 	FNRatio     float64
 }
 
+// renderNearest renders taps through channel.Render with each delay
+// rounded to a whole sample: the detection and SNR studies that use it
+// do not depend on sub-sample timing.
+func renderNearest(stream, wave []float64, taps []channel.Tap, txStart int, fs float64) {
+	for i := range taps {
+		taps[i].DelaySec = math.Round(taps[i].DelaySec*fs) / fs
+	}
+	channel.Render(stream, wave, taps, txStart, fs)
+}
+
 var fig12aThresholds = []float64{3, 6, 9, 12, 15, 18, 21, 24}
 
 func accFig12a(opt Options, p *Partial, pre string) {
@@ -189,7 +199,7 @@ func accFig12a(opt Options, p *Partial, pre string) {
 		env.AddNoise(stream, fs, rng)
 		if present {
 			taps := env.WithScatter(env.ImpulseResponse(tx, rx, channel.ImpulseOptions{}), rng)
-			channel.RenderFast(stream, wave, taps, 15000, fs)
+			renderNearest(stream, wave, taps, 15000, fs)
 		}
 		return stream
 	}
@@ -594,7 +604,7 @@ func accFig22(opt Options, p *Partial, pre string) {
 			taps := env.WithScatter(env.ImpulseResponse(
 				geom.Vec3{X: 0, Y: 0, Z: 1}, geom.Vec3{X: dist, Y: 0, Z: 1},
 				channel.ImpulseOptions{}), rng)
-			channel.RenderFast(stream, wave, taps, 10000, fs)
+			renderNearest(stream, wave, taps, 10000, fs)
 			det := ranging.NewDetector(pr, ranging.DetectorConfig{})
 			dets := det.Detect(stream)
 			if len(dets) == 0 {

@@ -296,14 +296,26 @@ func (nw *Network) linkGain(a, b *simDevice, micIdx int, posA, posB geom.Vec3) f
 	return g
 }
 
-// renderTransmission pushes wave (transmitted by dev from speaker index
-// txIdx) through the channel into every other device's microphone streams.
-func (nw *Network) renderTransmission(tx *simDevice, txIdx int, wave []float64, tTx float64) {
+// micPath is one receiver microphone's impulse response for a
+// transmission, placed on that mic's sample timeline.
+type micPath struct {
+	dst []float64
+	arr []channel.Arrival
+}
+
+// renderTransmission pushes wave (transmitted by tx from speaker index
+// txIdx) through the channel into every device's microphone streams,
+// its own included. Every path is drawn first, so the wave's spectrum is
+// computed once, at an FFT size that covers the widest response, and
+// shared by all of them.
+func (nw *Network) renderTransmission(tx *simDevice, txIdx int, wave []float64) {
+	tTx := tx.stack.SpeakerIndexToTime(float64(txIdx))
 	posTx := nw.posAt(tx, tTx)
 	spk := tx.spec.Model.SpeakerWorldPosition(posTx, tx.spec.Orient)
+	var paths []micPath
 	for _, rx := range nw.devices {
 		if rx.id == tx.id {
-			nw.renderSelfLoopback(tx, txIdx, wave)
+			paths = nw.appendSelfLoopback(paths, tx, tTx)
 			continue
 		}
 		fault, hasFault := nw.faults[pairKey(tx.id, rx.id)]
@@ -332,51 +344,47 @@ func (nw *Network) renderTransmission(tx *simDevice, txIdx int, wave []float64, 
 			taps = jitter.Apply(taps)
 			taps = nw.env.WithScatter(taps, nw.rng)
 			gain := nw.linkGain(tx, rx, mi, posTx, posRx)
-			for ti := range taps {
-				taps[ti].Amplitude *= gain
+			// Map each tap to the receiver's mic-sample timeline,
+			// honouring both devices' clock skews.
+			arr := make([]channel.Arrival, len(taps))
+			for ti, tap := range taps {
+				arr[ti] = channel.Arrival{
+					Index:     rx.stack.TimeToMicIndex(tTx + tap.DelaySec),
+					Amplitude: tap.Amplitude * gain,
+				}
 			}
-			nw.renderToMic(rx, mi, tx, txIdx, wave, taps)
+			if len(arr) > 0 {
+				paths = append(paths, micPath{dst: rx.stack.Mic(mi), arr: arr})
+			}
 		}
 	}
-}
-
-// renderToMic maps the transmission to the receiver's mic-sample timeline
-// (honouring both devices' clock skews) and adds the taps.
-func (nw *Network) renderToMic(rx *simDevice, micIdx int, tx *simDevice, txIdx int, wave []float64, taps []channel.Tap) {
-	tTx := tx.stack.SpeakerIndexToTime(float64(txIdx))
-	dst := rx.stack.Mic(micIdx)
-	fs := nw.params.SampleRate
-	for _, tap := range taps {
-		tArr := tTx + tap.DelaySec
-		idxF := rx.stack.TimeToMicIndex(tArr)
-		renderAtFractional(dst, wave, idxF, tap.Amplitude, fs)
+	var span float64
+	for _, p := range paths {
+		// Taps are sorted by delay and the clock mapping is monotone.
+		span = max(span, p.arr[len(p.arr)-1].Index-p.arr[0].Index)
 	}
+	src := channel.NewSource(wave, span)
+	for _, p := range paths {
+		src.Add(p.dst, p.arr)
+	}
+	src.Release()
 }
 
-// renderSelfLoopback adds the near-field speaker→own-mic path (δ₂): a
-// strong direct tap with centimetre delay, used by self-calibration.
-func (nw *Network) renderSelfLoopback(d *simDevice, txIdx int, wave []float64) {
-	tTx := d.stack.SpeakerIndexToTime(float64(txIdx))
+// appendSelfLoopback appends the near-field speaker→own-mic paths (δ₂):
+// one strong direct tap with centimetre delay per mic, used by
+// self-calibration.
+func (nw *Network) appendSelfLoopback(paths []micPath, d *simDevice, tTx float64) []micPath {
 	c := nw.env.SoundSpeed(d.spec.Pos.Z)
 	for mi := 0; mi < d.stack.NumMics(); mi++ {
 		micOff := d.spec.Model.MicOffsets[mi].Sub(d.spec.Model.SpeakerOffset).Norm()
 		if micOff < 0.01 {
 			micOff = 0.01
 		}
-		delay := micOff / c
-		idxF := d.stack.TimeToMicIndex(tTx + delay)
 		// Near field: loud but bounded.
-		renderAtFractional(d.stack.Mic(mi), wave, idxF, 0.9, nw.params.SampleRate)
+		arr := []channel.Arrival{{Index: d.stack.TimeToMicIndex(tTx + micOff/c), Amplitude: 0.9}}
+		paths = append(paths, micPath{dst: d.stack.Mic(mi), arr: arr})
 	}
-}
-
-// renderAtFractional adds amp·wave into dst starting at fractional index.
-func renderAtFractional(dst, wave []float64, idxF, amp, fs float64) {
-	taps := []channel.Tap{{DelaySec: 0, Amplitude: amp}}
-	whole := int(math.Floor(idxF))
-	frac := idxF - float64(whole)
-	taps[0].DelaySec = frac / fs
-	channel.Render(dst, wave, taps, whole, fs)
+	return paths
 }
 
 // releaseAudio hands every device's stream buffers back to the dsp scratch

@@ -77,7 +77,7 @@ func (nw *Network) RunRound(ctx context.Context) (*RoundResult, error) {
 	queryWave := nw.messageWave(0, 0)
 	leader.txIndex = queryIdx
 	leader.stack.WriteSpeaker(queryIdx, queryWave)
-	nw.renderTransmission(leader, queryIdx, queryWave, leader.stack.SpeakerIndexToTime(float64(queryIdx)))
+	nw.renderTransmission(leader, queryIdx, queryWave)
 	releaseWave(queryWave)
 
 	// Slot-order scheduling; devices that hear nothing yet retry in a
@@ -221,7 +221,7 @@ func (nw *Network) calibrateAll(ctx context.Context) error {
 		idx := int(calWriteAt * fs)
 		idxs[i] = idx
 		d.stack.WriteSpeaker(idx, wave)
-		nw.renderTransmission(d, idx, wave, d.stack.SpeakerIndexToTime(float64(idx)))
+		nw.renderTransmission(d, idx, wave)
 	}
 	for i, d := range nw.devices {
 		if err := ctx.Err(); err != nil {
@@ -274,7 +274,7 @@ func (nw *Network) scheduleReply(d *simDevice) bool {
 	wave := nw.messageWave(d.id, src.From)
 	d.txIndex = txIdx
 	d.stack.WriteSpeaker(txIdx, wave)
-	nw.renderTransmission(d, txIdx, wave, d.stack.SpeakerIndexToTime(float64(txIdx)))
+	nw.renderTransmission(d, txIdx, wave)
 	releaseWave(wave)
 	return true
 }
@@ -517,7 +517,7 @@ func (nw *Network) reportBack(res *RoundResult, table *protocol.Table) error {
 		offset := nw.reportAt() - slot
 		txIdx := d.stack.ReplyIndex(int(math.Round(syncArr.toa.ArrivalIdx)), offset)
 		d.stack.WriteSpeaker(txIdx, wave)
-		nw.renderTransmission(d, txIdx, wave, d.stack.SpeakerIndexToTime(float64(txIdx)))
+		nw.renderTransmission(d, txIdx, wave)
 	}
 	// Leader demodulates each device's band; alignment is predicted from
 	// the device's ranging arrival plus the slot arithmetic.
