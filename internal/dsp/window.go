@@ -109,21 +109,3 @@ func FIRBandpass(numTaps int, lowHz, highHz, fs float64) []float64 {
 	}
 	return h
 }
-
-// Filter applies FIR taps h to x (causal, zero initial state), returning a
-// slice of len(x). Group delay is (len(h)-1)/2 samples for symmetric h.
-func Filter(h, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for n := range x {
-		var s float64
-		kmax := len(h)
-		if n+1 < kmax {
-			kmax = n + 1
-		}
-		for k := 0; k < kmax; k++ {
-			s += h[k] * x[n-k]
-		}
-		out[n] = s
-	}
-	return out
-}

@@ -77,6 +77,29 @@ func BenchmarkIngestPushPrefiltered(b *testing.B) {
 	}
 }
 
+// BenchmarkPrefilter is the prefilter layer alone: the 255-tap 1–5 kHz
+// band-pass over a stream of 4096-sample buffers, through the direct-form
+// oracle and through the overlap-save dsp.FIRStream the pipeline runs.
+func BenchmarkPrefilter(b *testing.B) {
+	fir := sig.BandLimitFIR(1000, 5000, 44100)
+	chunk := noiseStream(4096, 17)
+	b.Run("direct", func(b *testing.B) {
+		d := newDirectPrefilter(bandTaps(1000, 5000, 44100))
+		b.SetBytes(int64(len(chunk) * 8))
+		for i := 0; i < b.N; i++ {
+			d.push(chunk)
+		}
+	})
+	b.Run("overlap-save", func(b *testing.B) {
+		s := fir.Stream()
+		defer s.Release()
+		b.SetBytes(int64(len(chunk) * 8))
+		for i := 0; i < b.N; i++ {
+			s.Feed(chunk)
+		}
+	})
+}
+
 // BenchmarkIngestSharedVsIndependent contrasts one shared scan feeding
 // three consumers against three independent single-consumer pipelines
 // over the same stream — the cost the unified ingest path removes.

@@ -14,10 +14,16 @@
 // Meter no clocks are read at all, so simulation hot paths stay free of
 // timing syscalls and remain byte-deterministic.
 //
+// The prefilter is a dsp.FIRStream: overlap-save FFT filtering on a fixed
+// block grid of the raw stream, so the band-limited samples consumers see
+// are bit-identical for every buffer partition and to the one-shot
+// sig.BandLimit. They arrive a whole filter block at a time, trailing
+// the raw stream by up to one block hop plus the group delay.
+//
 // Steady state is allocation-free: the bank session reuses its emission
-// buffers, the prefilter scratch is sized once, and the provided
-// consumers (ArgMax, Collect with reserved capacity) never grow — the
-// property the AllocsPerRun gate in pipeline_test.go enforces.
+// buffers, the prefilter its pool-drawn scratch (returned at Close), and
+// the provided consumers (ArgMax, Collect with reserved capacity) never
+// grow — the property the AllocsPerRun gate in pipeline_test.go enforces.
 package ingest
 
 import (
@@ -37,12 +43,13 @@ type Config struct {
 	// SampleRate (Hz) converts buffer lengths to audio durations for the
 	// deadline budget. Required when Meter is set; otherwise unused.
 	SampleRate float64
-	// Prefilter, when non-nil, is an odd-length symmetric FIR applied to
-	// the raw stream before correlation, with group-delay compensation and
-	// a zero-filled tail — sample-for-sample the arithmetic of
-	// sig.BandLimit, carried across buffer boundaries. Consumers then see
-	// the band-limited stream exactly as a one-shot receiver would.
-	Prefilter []float64
+	// Prefilter, when non-nil, is a linear-phase FIR (sig.BandLimitFIR)
+	// applied to the raw stream before correlation through a
+	// dsp.FIRStream: group delay compensated, tail zero-filled, blocks on
+	// a fixed grid of the raw stream — the same engine and arithmetic as
+	// sig.BandLimit. Consumers see the band-limited stream bit-for-bit as
+	// a one-shot receiver would, whatever the buffer sizes.
+	Prefilter *dsp.FIR
 	// Meter, when non-nil, receives one deadline observation per Push.
 	// A single Meter may be shared by many pipelines (sequentially) to
 	// aggregate a whole round's ingest headroom.
@@ -70,16 +77,8 @@ type Pipeline struct {
 	consumers []Consumer
 	chunkCons []ChunkConsumer
 
-	// Streaming band-pass prefilter state (nil fir when disabled):
-	// filtered[n] = y[n+delay] with y the causal FIR output and zeros past
-	// the end, replicating sig.BandLimit's group-delay compensation.
-	fir     []float64
-	delay   int
-	tail    []float64 // last len(fir)-1 raw samples
-	tailLen int
-	rawFed  int
-	fbuf    []float64 // filter scratch: tail ++ chunk
-	fout    []float64 // filtered-output scratch
+	// fir is the streaming band-pass prefilter; nil when disabled.
+	fir *dsp.FIRStream
 
 	// pol is the backpressure state machine; nil when Config.Policy is
 	// PolicyNone. zeroScratch feeds owed silence through the normal path
@@ -111,10 +110,8 @@ func New(cfg Config) *Pipeline {
 	} else {
 		p.bs = cfg.Bank.Stream()
 	}
-	if len(cfg.Prefilter) > 0 {
-		p.fir = cfg.Prefilter
-		p.delay = (len(p.fir) - 1) / 2
-		p.tail = make([]float64, len(p.fir)-1)
+	if cfg.Prefilter != nil {
+		p.fir = cfg.Prefilter.Stream()
 	}
 	return p
 }
@@ -132,7 +129,7 @@ func (p *Pipeline) Register(c Consumer) {
 // Fed returns the number of raw stream samples pushed so far.
 func (p *Pipeline) Fed() int {
 	if p.fir != nil {
-		return p.rawFed
+		return p.fir.Fed()
 	}
 	return p.bs.Fed()
 }
@@ -160,11 +157,7 @@ func (p *Pipeline) Push(buf []float64) {
 	if m != nil {
 		t0 = m.now()
 	}
-	filt := buf
-	if p.fir != nil {
-		filt = p.filter(buf)
-	}
-	p.deliver(filt)
+	p.deliver(p.filter(buf))
 	if m != nil {
 		// Injected latency backdates the start: the meter sees a slow
 		// buffer without anyone sleeping, so fault-driven backpressure
@@ -182,9 +175,10 @@ func (p *Pipeline) Push(buf []float64) {
 	}
 }
 
-// Close ends the stream: the prefilter's zero-filled tail and the bank
-// session's remaining tail blocks are delivered, then every consumer's
-// Finish runs. Close is idempotent; Push panics afterwards.
+// Close ends the stream: the prefilter's last block and zero-filled tail
+// and the bank session's remaining tail blocks are delivered, then every
+// consumer's Finish runs, and the prefilter's scratch goes back to the
+// dsp pool. Close is idempotent; Push panics afterwards.
 func (p *Pipeline) Close() {
 	if p.closed {
 		return
@@ -196,18 +190,16 @@ func (p *Pipeline) Close() {
 		p.pol.disengage()
 	}
 	if p.fir != nil {
-		// BandLimit zero-fills the last delay samples (the causal filter
-		// output past the raw stream end is discarded with the group-delay
-		// shift): emit them so lag counts match the one-shot path.
-		zeros := min(p.delay, p.rawFed)
-		p.deliver(make([]float64, zeros))
+		p.deliver(p.fir.Flush())
 	}
 	p.fanOut(p.bs.Flush())
 	p.closed = true
 	for _, c := range p.consumers {
 		c.Finish()
 	}
-	p.fbuf, p.fout, p.tail = nil, nil, nil
+	if p.fir != nil {
+		p.fir.Release()
+	}
 }
 
 // Deadline reports the meter's aggregated per-buffer headroom; the zero
@@ -235,11 +227,7 @@ func (p *Pipeline) PolicyReport() PolicyReport {
 func (p *Pipeline) flushShed() {
 	queued, zeros := p.pol.drain()
 	for _, q := range queued {
-		filt := q
-		if p.fir != nil {
-			filt = p.filter(q)
-		}
-		p.deliver(filt)
+		p.deliver(p.filter(q))
 	}
 	p.pol.recycle(queued)
 	if zeros > 0 && p.zeroScratch == nil {
@@ -247,11 +235,7 @@ func (p *Pipeline) flushShed() {
 	}
 	for zeros > 0 {
 		n := min(zeros, len(p.zeroScratch))
-		filt := p.zeroScratch[:n]
-		if p.fir != nil {
-			filt = p.filter(p.zeroScratch[:n])
-		}
-		p.deliver(filt)
+		p.deliver(p.filter(p.zeroScratch[:n]))
 		zeros -= n
 	}
 }
@@ -279,50 +263,11 @@ func (p *Pipeline) fanOut(rows [][]float64) {
 	}
 }
 
-// filter runs the streaming band-pass: causal direct-form FIR with
-// carried history, arithmetic identical to dsp.Filter sample for sample,
-// followed by the group-delay drop of the first delay outputs. The
-// returned slice aliases pipeline scratch, valid until the next call.
-func (p *Pipeline) filter(chunk []float64) []float64 {
-	n := len(chunk)
-	if cap(p.fbuf) < p.tailLen+n {
-		p.fbuf = make([]float64, p.tailLen+n)
+// filter runs buf through the prefilter, when one is configured. The
+// result may alias prefilter scratch, valid until the next call.
+func (p *Pipeline) filter(buf []float64) []float64 {
+	if p.fir == nil {
+		return buf
 	}
-	p.fbuf = p.fbuf[:p.tailLen+n]
-	copy(p.fbuf, p.tail[:p.tailLen])
-	copy(p.fbuf[p.tailLen:], chunk)
-	if cap(p.fout) < n {
-		p.fout = make([]float64, n)
-	}
-	p.fout = p.fout[:n]
-	for j := 0; j < n; j++ {
-		m := p.rawFed + j // global causal output index
-		kmax := len(p.fir)
-		if m+1 < kmax {
-			kmax = m + 1
-		}
-		base := p.tailLen + j
-		var sum float64
-		for k := 0; k < kmax; k++ {
-			sum += p.fir[k] * p.fbuf[base-k]
-		}
-		p.fout[j] = sum
-	}
-	p.rawFed += n
-	keep := len(p.fir) - 1
-	if keep > p.rawFed {
-		keep = p.rawFed
-	}
-	copy(p.tail, p.fbuf[len(p.fbuf)-keep:])
-	p.tailLen = keep
-	// Group-delay compensation: causal outputs before index delay fall off
-	// the front of the one-shot BandLimit result.
-	skip := p.delay - (p.rawFed - n)
-	if skip < 0 {
-		skip = 0
-	}
-	if skip > n {
-		skip = n
-	}
-	return p.fout[skip:]
+	return p.fir.Feed(buf)
 }

@@ -22,9 +22,9 @@ import (
 // The session is built so that the final detection set is exactly what
 // the one-shot Detector computes on the concatenated stream:
 //
-//   - the pipeline's prefilter replicates sig.BandLimit's direct FIR
-//     arithmetic with carried history (bit-identical for every chunk
-//     partition);
+//   - the pipeline's prefilter is sig.BandLimit's own overlap-save
+//     engine, a dsp.FIRStream whose blocks sit on a fixed grid of the
+//     raw stream (bit-identical for every chunk partition);
 //   - correlation runs on a dsp.BankStream whose overlap-save blocks sit
 //     on a fixed absolute grid (bit-identical for every partition);
 //   - candidate peaks are decided with one lag of lookahead, so a peak on

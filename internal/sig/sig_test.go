@@ -317,6 +317,36 @@ func TestBandLimitRemovesOutOfBand(t *testing.T) {
 	}
 }
 
+// TestBandLimitFIRShared: the band filter is designed once per band and
+// shared, and BandLimit keeps the input length with a zero-filled tail
+// of the group delay, also for inputs shorter than that delay.
+func TestBandLimitFIRShared(t *testing.T) {
+	const fs = 44100.0
+	f := BandLimitFIR(1000, 5000, fs)
+	if BandLimitFIR(1000, 5000, fs) != f {
+		t.Fatal("same band built a second filter")
+	}
+	if BandLimitFIR(1100, 1900, fs) == f {
+		t.Fatal("different bands share a filter")
+	}
+	d := (bandLimitTaps - 1) / 2
+	for _, n := range []int{0, 1, d, 3 * d} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 1
+		}
+		y := BandLimit(x, 1000, 5000, fs)
+		if len(y) != n {
+			t.Fatalf("n %d: %d samples out", n, len(y))
+		}
+		for i := max(0, n-d); i < n; i++ {
+			if y[i] != 0 {
+				t.Fatalf("n %d: tail sample %d = %g, want 0", n, i, y[i])
+			}
+		}
+	}
+}
+
 func TestFMCWSweepSameAsChirp(t *testing.T) {
 	a := FMCWSweep(1000, 5000, 1024, 44100)
 	b := LinearChirp(1000, 5000, 1024, 44100)

@@ -2,6 +2,7 @@ package sig
 
 import (
 	"math"
+	"sync"
 
 	"uwpos/internal/dsp"
 )
@@ -129,23 +130,39 @@ func Goertzel(x []float64, f, fs float64) float64 {
 // phase group delay (taps-1)/2 is a whole number of samples.
 const bandLimitTaps = 255
 
-// BandLimitFIR returns the linear-phase FIR taps BandLimit applies for
-// the given band. Exported so the streaming detector can run the
-// identical filter incrementally: same taps + same direct-form arithmetic
-// makes chunked prefiltering bit-identical to the one-shot BandLimit.
-func BandLimitFIR(lowHz, highHz, fs float64) []float64 {
-	return dsp.FIRBandpass(bandLimitTaps, lowHz, highHz, fs)
+// bandKey identifies one cached band filter.
+type bandKey struct{ lowHz, highHz, fs float64 }
+
+// bandFilterCache holds the shared filter per band: bandKey -> *dsp.FIR,
+// read-only.
+var bandFilterCache sync.Map
+
+// BandLimitFIR returns the linear-phase band-pass BandLimit applies for
+// the given band: a Hamming-windowed sinc, designed and transformed to
+// its overlap-save spectrum once per (lowHz, highHz, fs) and shared
+// read-only. Exported so the ingest pipeline can run the identical filter
+// on a live stream: a dsp.FIRStream is bit-identical for every buffer
+// partition, so chunked prefiltering matches the one-shot BandLimit
+// exactly.
+func BandLimitFIR(lowHz, highHz, fs float64) *dsp.FIR {
+	k := bandKey{lowHz, highHz, fs}
+	if v, ok := bandFilterCache.Load(k); ok {
+		return v.(*dsp.FIR)
+	}
+	v, _ := bandFilterCache.LoadOrStore(k, dsp.NewFIR(dsp.FIRBandpass(bandLimitTaps, lowHz, highHz, fs)))
+	return v.(*dsp.FIR)
 }
 
 // BandLimit filters x to the [lowHz, highHz] band with a linear-phase FIR
-// and compensates the group delay, returning a slice of len(x). Used to
-// model the limited underwater frequency response of phone speakers.
+// and compensates the group delay, returning a slice of len(x) whose last
+// (taps-1)/2 samples are zero. It is the whole stream fed through one
+// BandLimitFIR stream. Used to model the limited underwater frequency
+// response of phone speakers.
 func BandLimit(x []float64, lowHz, highHz, fs float64) []float64 {
-	h := BandLimitFIR(lowHz, highHz, fs)
-	y := dsp.Filter(h, x)
-	// Compensate the (taps-1)/2 group delay.
-	d := (bandLimitTaps - 1) / 2
-	out := make([]float64, len(x))
-	copy(out, y[min(d, len(y)):])
+	s := BandLimitFIR(lowHz, highHz, fs).Stream()
+	out := make([]float64, 0, len(x))
+	out = append(out, s.Feed(x)...)
+	out = append(out, s.Flush()...)
+	s.Release()
 	return out
 }
