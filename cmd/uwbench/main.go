@@ -79,9 +79,8 @@ func registry() map[string]runner {
 			_, _, t := experiments.Flipping(o)
 			return t
 		},
-		"battery":   func(o experiments.Options) *stats.Table { return experiments.Battery(o) },
-		"streaming": func(o experiments.Options) *stats.Table { return experiments.Streaming(o) },
-		"ingest":    func(o experiments.Options) *stats.Table { return experiments.Ingest(o) },
+		"battery": func(o experiments.Options) *stats.Table { return experiments.Battery(o) },
+		"ingest":  func(o experiments.Options) *stats.Table { return experiments.Ingest(o) },
 		// "service" is a load test of the uwposd serving stack: its table
 		// reports wall-clock latencies, so it stays out of the
 		// deterministic "all" ordering and the baseline timing gate.
@@ -113,7 +112,7 @@ var order = []string{
 	"fig13a", "fig13b", "fig14a", "fig14b",
 	"fig15", "fig16", "fig22",
 	"fig18", "fig19a", "fig19b", "fig19b-4dev", "fig20",
-	"rtt", "flipping", "battery", "streaming", "ingest",
+	"rtt", "flipping", "battery", "ingest",
 	"ablation-bandwindow", "ablation-prefilter", "ablation-restarts", "ablation-reportback",
 	"headline",
 }

@@ -11,10 +11,11 @@ import "sync/atomic"
 // receiver scans the same audio for the ranging preamble, the calibration
 // chirp and the baseline sweeps for roughly half the transform work.
 //
-// A bank is immutable after construction and safe for concurrent use:
-// the one-shot scans only read the member matchers' cached spectra (each
-// guarded inside Matcher), and every streaming session created by Stream
-// or StreamNormalized owns its state exclusively.
+// The bank's only scan is a BankStream session (Stream): a whole stream
+// held in memory is one Feed followed by Flush. A bank is immutable after
+// construction and safe for concurrent use: sessions only read the member
+// matchers' cached spectra (each guarded inside Matcher), and every
+// session owns its state exclusively.
 type MatcherBank struct {
 	ms     []*Matcher
 	maxLen int // longest template, samples
@@ -22,38 +23,47 @@ type MatcherBank struct {
 	hop    int // valid lags per block: block - maxLen + 1
 }
 
+// osBlockFactor sizes the throughput-oriented overlap-save FFT block
+// relative to the longest template: NextPow2(osBlockFactor·maxLen) keeps
+// >= ~87% of each block as valid output.
+const osBlockFactor = 8
+
+// streamBlockFactor sizes the latency-oriented block. 2 halves the
+// per-block valid fraction against osBlockFactor's 8 (≈53% instead of
+// ≈87%, a ~1.6× transform-work premium) but cuts the emission latency
+// four-fold — the right trade for a live receiver that wants detections
+// while the diver is still mid-gesture.
+const streamBlockFactor = 2
+
 // NewMatcherBank builds a bank over the given matchers with the
-// throughput-oriented block size (osBlockFactor × the longest template,
-// ≈87% valid lags per block — the same sizing Matcher's own blocked path
-// uses). It panics on an empty bank or an empty template — a bank exists
-// to scan templates, and a zero-length template has no correlation
-// defined.
+// throughput-oriented block size (osBlockFactor × the longest template).
+// It panics on an empty bank or an empty template — a bank exists to scan
+// templates, and a zero-length template has no correlation defined.
 func NewMatcherBank(ms ...*Matcher) *MatcherBank {
 	return newMatcherBank(osBlockFactor, ms)
 }
 
 // NewMatcherBankLowLatency builds a bank with the latency-oriented block
-// size the streaming sessions use (streamBlockFactor × the longest
-// template): lags emerge after roughly one template length of input
-// instead of seven, at ~1.5× the per-sample transform cost. This is the
-// bank shape for live ingest pipelines, where emission latency bounds
-// the end-to-end detection delay.
+// size (streamBlockFactor × the longest template): lags emerge after
+// roughly one template length of input instead of seven, at ~1.5× the
+// per-sample transform cost. This is the bank shape for live ingest
+// pipelines, where emission latency bounds the end-to-end detection
+// delay.
 func NewMatcherBankLowLatency(ms ...*Matcher) *MatcherBank {
 	return newMatcherBank(streamBlockFactor, ms)
 }
 
 // bankForwardCount counts shared forward block transforms across every
-// MatcherBank scan and BankStream session in the process — the
-// observable for "exactly one forward transform per block feeds every
-// consumer" assertions (see BankForwardTransforms).
+// BankStream session in the process — the observable for "exactly one
+// forward transform per block feeds every consumer" assertions (see
+// BankForwardTransforms).
 var bankForwardCount atomic.Uint64
 
 // BankForwardTransforms returns the process-wide number of shared
-// forward block transforms executed by MatcherBank one-shot scans and
-// BankStream sessions since process start. Deltas around a scan measure
-// how many forward FFTs the scan actually paid for; a shared-scan
-// pipeline over N templates and C consumers advances it exactly once per
-// block, independent of N and C.
+// forward block transforms executed by BankStream sessions since process
+// start. Deltas around a scan measure how many forward FFTs the scan
+// actually paid for; a shared-scan pipeline over N templates and C
+// consumers advances it exactly once per block, independent of N and C.
 func BankForwardTransforms() uint64 { return bankForwardCount.Load() }
 
 func newMatcherBank(blockFactor int, ms []*Matcher) *MatcherBank {
@@ -87,124 +97,48 @@ func (b *MatcherBank) Matcher(i int) *Matcher { return b.ms[i] }
 // BlockLen returns the shared overlap-save FFT block length.
 func (b *MatcherBank) BlockLen() int { return b.block }
 
-// CrossCorrelateAll computes the valid-lag cross-correlation of every
-// template against x in one pass. out[i] has len(x)-len(template_i)+1
-// lags, or is nil when x is shorter than that template.
-func (b *MatcherBank) CrossCorrelateAll(x []float64) [][]float64 {
-	return b.correlateAll(x, false, false)
-}
-
-// NormalizedCrossCorrelateAll is CrossCorrelateAll with every output
-// normalized by template energy and local window energy (one shared
-// prefix-sum pass serves all templates), so values lie in [-1, 1].
-func (b *MatcherBank) NormalizedCrossCorrelateAll(x []float64) [][]float64 {
-	return b.correlateAll(x, true, false)
-}
-
-// CrossCorrelateAllPooled is CrossCorrelateAll with results drawn from
-// the package scratch pool; release each non-nil row with PutF64.
-func (b *MatcherBank) CrossCorrelateAllPooled(x []float64) [][]float64 {
-	return b.correlateAll(x, false, true)
-}
-
-// NormalizedCrossCorrelateAllPooled is NormalizedCrossCorrelateAll with
-// pooled results; release each non-nil row with PutF64.
-func (b *MatcherBank) NormalizedCrossCorrelateAllPooled(x []float64) [][]float64 {
-	return b.correlateAll(x, true, true)
-}
-
-func (b *MatcherBank) correlateAll(x []float64, normalized, pooled bool) [][]float64 {
-	outs := make([][]float64, len(b.ms))
-	maxOut := 0
-	for i, mt := range b.ms {
-		n := len(x) - mt.TemplateLen() + 1
-		if n <= 0 {
-			continue // outs[i] stays nil, matching the one-shot contract
-		}
-		outs[i] = allocResult(n, pooled)
-		if n > maxOut {
-			maxOut = n
-		}
-	}
-	if maxOut == 0 {
-		return outs
-	}
-	hm := b.block / 2
-	fxre := getF64Raw(hm)
-	defer PutF64(fxre)
-	fxim := getF64Raw(hm)
-	defer PutF64(fxim)
-	zre := getF64Raw(hm)
-	defer PutF64(zre)
-	zim := getF64Raw(hm)
-	defer PutF64(zim)
-	for p := 0; p < maxOut; p += b.hop {
-		end := p + b.block
-		if end > len(x) {
-			end = len(x)
-		}
-		// One shared packed forward transform per block; each template then
-		// pays only its fused spectrum fold and inverse (see rfft.go). The
-		// shared spectrum stays in the kernel's permuted packed order the
-		// whole time — the fold reads it without disturbing it.
-		rfftPacked(fxre, fxim, x[p:end])
-		bankForwardCount.Add(1)
-		for i, out := range outs {
-			if out == nil || p >= len(out) {
-				continue
-			}
-			foldSpecMulTo(zre, zim, fxre, fxim, b.ms[i].spectrum(b.block), b.block)
-			fftSoA(zre, zim, true)
-			seg := out[p:]
-			if len(seg) > b.hop {
-				seg = seg[:b.hop]
-			}
-			interleaveScaled(seg, zre, zim, hm)
-		}
-	}
-	if normalized {
-		prefix := GetF64(len(x) + 1)
-		defer PutF64(prefix)
-		energyPrefix(prefix, x)
-		for i, out := range outs {
-			if out == nil {
-				continue
-			}
-			normalizeWithPrefix(out, prefix, b.ms[i].TemplateLen(), b.ms[i].energy)
-		}
-	}
-	return outs
-}
-
 // Stream opens an incremental scanning session over the bank: feed the
-// stream chunk by chunk and collect each template's correlation lags as
-// they become computable.
-func (b *MatcherBank) Stream() *BankStream { return newBankStream(b, false) }
-
-// StreamNormalized is Stream with window-energy normalization (outputs in
-// [-1, 1], matching NormalizedCrossCorrelateAll).
-func (b *MatcherBank) StreamNormalized() *BankStream { return newBankStream(b, true) }
+// stream chunk by chunk and collect each template's normalized
+// correlation lags as they become computable.
+func (b *MatcherBank) Stream() *BankStream {
+	return &BankStream{
+		bank: b,
+		buf:  GetF64(b.block),
+		pre:  GetF64(b.block + 1),
+		work: getF64Raw(b.block),
+		fxre: getF64Raw(b.block / 2),
+		fxim: getF64Raw(b.block / 2),
+		zre:  getF64Raw(b.block / 2),
+		zim:  getF64Raw(b.block / 2),
+		emit: make([][]float64, len(b.ms)),
+	}
+}
 
 // BankStream is an in-progress overlap-save scan of one stream against
 // every template of a MatcherBank. Chunks of any length go in via Feed;
-// newly computable correlation lags come out per template. Because blocks
-// sit on a fixed absolute grid (multiples of the bank hop from stream
-// start), the emitted lags are bit-for-bit identical for every chunk
-// partition of the same stream — including the whole stream in one Feed,
-// which is exactly what the bank's one-shot CrossCorrelateAll computes.
+// newly computable correlation lags come out per template. Lag k of
+// template h is the valid-lag cross-correlation
 //
-// State is O(block length): the session carries only the inter-block
-// overlap, a rolling energy-prefix window, and per-template emission
-// buffers. A session is single-stream and not safe for concurrent use;
-// open one session per goroutine (sessions of one bank share the cached
-// template spectra read-only, so concurrent sessions are safe).
+//	r[k] = Σ_n x[n+k]·h[n] / sqrt(Σ_n h[n]² · Σ_n x[n+k]²),  k in [0, len(x)-len(h)]
+//
+// so values lie in [-1, 1] whatever the signal scale; a window or
+// template of (near-)zero energy yields 0. Because blocks sit on a fixed
+// absolute grid (multiples of the bank hop from stream start), the
+// emitted lags are bit-for-bit identical for every chunk partition of the
+// same stream, including the whole stream in one Feed.
+//
+// State is O(block length) however large the chunks: Feed fills one
+// block at a time, so the session carries only the inter-block overlap,
+// a rolling energy-prefix window and per-template emission buffers. A
+// session is single-stream and not safe for concurrent use; open one
+// session per goroutine (sessions of one bank share the cached template
+// spectra read-only, so concurrent sessions are safe).
 type BankStream struct {
-	bank       *MatcherBank
-	normalized bool
+	bank *MatcherBank
 
-	// buf holds stream samples from the current block start (a multiple
-	// of hop); pre, when normalizing, holds the energy prefix sums
-	// aligned with buf: pre[i] = Σ x[j]² for j < start+i, accumulated
+	// buf (block samples) holds the stream from the current block start,
+	// a multiple of hop; pre (block+1 entries) holds the energy prefix
+	// sums aligned with it: pre[i] = Σ x[j]² for j < start+i, accumulated
 	// with Neumaier compensation (preSum/preComp carry the running state
 	// across chunks) so arbitrarily long sessions don't drift.
 	buf             []float64
@@ -223,24 +157,6 @@ type BankStream struct {
 	flushed bool
 }
 
-func newBankStream(b *MatcherBank, normalized bool) *BankStream {
-	s := &BankStream{
-		bank:       b,
-		normalized: normalized,
-		buf:        GetF64(b.block),
-		work:       getF64Raw(b.block),
-		fxre:       getF64Raw(b.block / 2),
-		fxim:       getF64Raw(b.block / 2),
-		zre:        getF64Raw(b.block / 2),
-		zim:        getF64Raw(b.block / 2),
-		emit:       make([][]float64, len(b.ms)),
-	}
-	if normalized {
-		s.pre = GetF64(b.block + 1)
-	}
-	return s
-}
-
 // Fed returns the number of stream samples consumed so far.
 func (s *BankStream) Fed() int { return s.fed }
 
@@ -253,29 +169,20 @@ func (s *BankStream) Feed(chunk []float64) [][]float64 {
 	if s.flushed {
 		panic("dsp: BankStream.Feed after Flush")
 	}
-	s.grow(len(chunk))
-	copy(s.buf[s.bufLen:], chunk)
-	if s.normalized {
-		sum, comp := s.preSum, s.preComp
-		for i, v := range chunk {
-			sum, comp = neumaierAdd(sum, comp, v*v)
-			s.pre[s.bufLen+1+i] = sum + comp
-		}
-		s.preSum, s.preComp = sum, comp
-	}
-	s.bufLen += len(chunk)
-	s.fed += len(chunk)
 	for i := range s.emit {
 		s.emit[i] = s.emit[i][:0]
 	}
-	for s.bufLen >= s.bank.block {
-		s.runBlock(func(int) int { return s.bank.hop })
-		copy(s.buf, s.buf[s.bank.hop:s.bufLen])
-		if s.normalized {
-			copy(s.pre, s.pre[s.bank.hop:s.bufLen+1])
+	s.fed += len(chunk)
+	hop := s.bank.hop
+	for len(chunk) > 0 {
+		k := copy(s.buf[s.bufLen:], chunk)
+		s.preSum, s.preComp = prefixSums(s.pre[s.bufLen+1:], chunk[:k], s.preSum, s.preComp)
+		s.bufLen += k
+		chunk = chunk[k:]
+		if s.bufLen == s.bank.block {
+			s.runBlock(func(int) int { return hop })
+			s.advance(hop)
 		}
-		s.bufLen -= s.bank.hop
-		s.start += s.bank.hop
 	}
 	return s.emit
 }
@@ -304,48 +211,38 @@ func (s *BankStream) Flush() [][]float64 {
 			break
 		}
 		s.runBlock(func(i int) int {
-			take := s.fed - s.bank.ms[i].TemplateLen() + 1 - s.start
-			if take > s.bank.hop {
-				take = s.bank.hop
-			}
-			return take
+			return min(s.fed-s.bank.ms[i].TemplateLen()+1-s.start, s.bank.hop)
 		})
-		adv := s.bank.hop
-		if adv > s.bufLen {
-			adv = s.bufLen
-		}
-		copy(s.buf, s.buf[adv:s.bufLen])
-		if s.normalized {
-			copy(s.pre, s.pre[adv:s.bufLen+1])
-		}
-		s.bufLen -= adv
-		s.start += s.bank.hop
+		s.advance(min(s.bank.hop, s.bufLen))
 	}
 	PutF64(s.buf)
+	PutF64(s.pre)
 	PutF64(s.work)
 	PutF64(s.fxre)
 	PutF64(s.fxim)
 	PutF64(s.zre)
 	PutF64(s.zim)
-	if s.pre != nil {
-		PutF64(s.pre)
-	}
-	s.buf, s.work, s.pre = nil, nil, nil
+	s.buf, s.pre, s.work = nil, nil, nil
 	s.fxre, s.fxim, s.zre, s.zim = nil, nil, nil, nil
 	return s.emit
 }
 
+// advance slides the block one hop along the grid, dropping the first n
+// buffered samples (n < hop only for the short tail blocks of Flush).
+func (s *BankStream) advance(n int) {
+	copy(s.buf, s.buf[n:s.bufLen])
+	copy(s.pre, s.pre[n:s.bufLen+1])
+	s.bufLen -= n
+	s.start += s.bank.hop
+}
+
 // runBlock transforms the current block (buffered samples zero-padded to
-// the block length) once and appends take(i) lags to each template's
-// emission buffer. take(i) ≤ hop; non-positive takes skip the template's
-// inverse transform entirely.
+// the block length) once and appends take(i) normalized lags to each
+// template's emission buffer. take(i) ≤ hop; non-positive takes skip the
+// template's inverse transform entirely.
 func (s *BankStream) runBlock(take func(i int) int) {
-	n := s.bufLen
-	if n > s.bank.block {
-		n = s.bank.block
-	}
 	hm := s.bank.block / 2
-	rfftPacked(s.fxre, s.fxim, s.buf[:n])
+	rfftPacked(s.fxre, s.fxim, s.buf[:s.bufLen])
 	bankForwardCount.Add(1)
 	for i, mt := range s.bank.ms {
 		t := take(i)
@@ -355,35 +252,7 @@ func (s *BankStream) runBlock(take func(i int) int) {
 		foldSpecMulTo(s.zre, s.zim, s.fxre, s.fxim, mt.spectrum(s.bank.block), s.bank.block)
 		fftSoA(s.zre, s.zim, true)
 		interleaveScaled(s.work[:t], s.zre, s.zim, hm)
-		if s.normalized {
-			normalizeWithPrefix(s.work[:t], s.pre, mt.TemplateLen(), mt.energy)
-		}
+		normalizeWithPrefix(s.work[:t], s.pre, mt.TemplateLen(), mt.energy)
 		s.emit[i] = append(s.emit[i], s.work[:t]...)
-	}
-}
-
-// grow makes room for n more samples (and prefix entries) in the session
-// buffers, moving up a pool size class when a large chunk needs it. The
-// prefix array holds one entry more than the sample buffer, so its
-// capacity is checked separately: the pool's power-of-two classes put the
-// two buffers in the same class exactly when need+1 crosses a boundary.
-func (s *BankStream) grow(n int) {
-	need := s.bufLen + n
-	if need <= cap(s.buf) && (!s.normalized || need+1 <= cap(s.pre)) {
-		s.buf = s.buf[:cap(s.buf)]
-		if s.normalized {
-			s.pre = s.pre[:cap(s.pre)]
-		}
-		return
-	}
-	nb := GetF64(need)
-	copy(nb, s.buf[:s.bufLen])
-	PutF64(s.buf)
-	s.buf = nb
-	if s.normalized {
-		np := GetF64(need + 1)
-		copy(np, s.pre[:s.bufLen+1])
-		PutF64(s.pre)
-		s.pre = np
 	}
 }

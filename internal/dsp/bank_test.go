@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -15,8 +16,113 @@ func bankOf(r *rand.Rand, lens ...int) *MatcherBank {
 	return NewMatcherBank(ms...)
 }
 
-// TestMatcherBankMatchesSingleScans checks the shared-forward-FFT batch
-// scan against each member matcher's own one-shot correlation.
+// xcorrDirect is the O(len(x)·len(h)) sliding dot product
+// r[k] = Σ_n x[n+k]·h[n] over the valid lags: the oracle for the FFT scan.
+func xcorrDirect(x, h []float64) []float64 {
+	if len(h) == 0 || len(h) > len(x) {
+		return nil
+	}
+	out := make([]float64, len(x)-len(h)+1)
+	for k := range out {
+		var s float64
+		for n, hv := range h {
+			s += x[k+n] * hv
+		}
+		out[k] = s
+	}
+	return out
+}
+
+// normalizedDirect is BankStream's contract computed directly: each lag
+// of xcorrDirect divided by sqrt(window energy · template energy), each
+// window energy summed afresh, and 0 where that product is (near) zero.
+func normalizedDirect(x, h []float64) []float64 {
+	out := xcorrDirect(x, h)
+	var eh float64
+	for _, v := range h {
+		eh += v * v
+	}
+	for k := range out {
+		var ex float64
+		for _, v := range x[k : k+len(h)] {
+			ex += v * v
+		}
+		if den := math.Sqrt(ex * eh); den < 1e-30 {
+			out[k] = 0
+		} else {
+			out[k] /= den
+		}
+	}
+	return out
+}
+
+// feedPartition drives a session over an arbitrary chunk partition of x
+// and returns each template's concatenated output lags.
+func feedPartition(s *BankStream, x []float64, cuts []int) [][]float64 {
+	out := make([][]float64, s.bank.Len())
+	collect := func(rows [][]float64) {
+		for i, row := range rows {
+			out[i] = append(out[i], row...)
+		}
+	}
+	prev := 0
+	for _, c := range cuts {
+		collect(s.Feed(x[prev:c]))
+		prev = c
+	}
+	collect(s.Feed(x[prev:]))
+	collect(s.Flush())
+	return out
+}
+
+// scan is the one-shot use of a bank: the whole stream in one Feed.
+func scan(b *MatcherBank, x []float64) [][]float64 { return feedPartition(b.Stream(), x, nil) }
+
+// scanOne correlates one template against x on a single-template
+// low-latency session, the streaming detector's shape.
+func scanOne(h, x []float64) []float64 { return scan(NewMatcherBankLowLatency(NewMatcher(h)), x)[0] }
+
+// randomCuts draws a sorted set of chunk boundaries in [0, n], including
+// degenerate empty chunks with some probability.
+func randomCuts(r *rand.Rand, n int) []int {
+	k := r.Intn(8)
+	cuts := make([]int, 0, k)
+	for i := 0; i < k; i++ {
+		cuts = append(cuts, r.Intn(n+1))
+	}
+	slices.Sort(cuts)
+	return cuts
+}
+
+// closeTo fails t unless got matches want within tol per lag.
+func closeTo(t *testing.T, what string, got, want []float64, tol float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d lags, want %d", what, len(got), len(want))
+	}
+	for k := range want {
+		if math.Abs(got[k]-want[k]) > tol {
+			t.Fatalf("%s: lag %d: %g vs %g", what, k, got[k], want[k])
+		}
+	}
+}
+
+// sameBits fails t unless got equals want bit for bit.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d lags, want %d", what, len(got), len(want))
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("%s: lag %d not bit-identical: %v vs %v", what, k, got[k], want[k])
+		}
+	}
+}
+
+// TestMatcherBankMatchesSingleScans checks the shared-forward-FFT bank
+// scan against each member template scanned alone on its own block grid
+// and against the direct oracle.
 func TestMatcherBankMatchesSingleScans(t *testing.T) {
 	r := rand.New(rand.NewSource(50))
 	for _, lens := range [][]int{
@@ -28,22 +134,12 @@ func TestMatcherBankMatchesSingleScans(t *testing.T) {
 		b := bankOf(r, lens...)
 		for _, nx := range []int{12000, 40000} {
 			x := randReal(r, nx)
-			raw := b.CrossCorrelateAll(x)
-			norm := b.NormalizedCrossCorrelateAll(x)
+			got := scan(b, x)
 			for i := 0; i < b.Len(); i++ {
-				mt := b.Matcher(i)
-				wantRaw := mt.CrossCorrelate(x)
-				wantNorm := mt.NormalizedCrossCorrelate(x)
-				if len(raw[i]) != len(wantRaw) {
-					t.Fatalf("lens=%v nx=%d t%d: raw length %d vs %d", lens, nx, i, len(raw[i]), len(wantRaw))
-				}
-				for k := range wantRaw {
-					if math.Abs(raw[i][k]-wantRaw[k]) > 1e-9*(1+math.Abs(wantRaw[k])) {
-						t.Fatalf("lens=%v nx=%d t%d: raw lag %d: %g vs %g", lens, nx, i, k, raw[i][k], wantRaw[k])
-					}
-					if math.Abs(norm[i][k]-wantNorm[k]) > 1e-9 {
-						t.Fatalf("lens=%v nx=%d t%d: normalized lag %d: %g vs %g", lens, nx, i, k, norm[i][k], wantNorm[k])
-					}
+				h := b.Matcher(i).Template()
+				closeTo(t, "vs single scan", got[i], scanOne(h, x), 1e-9)
+				if nx == 12000 {
+					closeTo(t, "vs direct", got[i], normalizedDirect(x, h), 1e-9)
 				}
 			}
 		}
@@ -51,52 +147,48 @@ func TestMatcherBankMatchesSingleScans(t *testing.T) {
 }
 
 // TestBankStreamMatchesOneShot checks the streaming session is
-// bit-identical to the bank's own one-shot scan for arbitrary chunk
-// partitions — both run the same absolute block grid.
+// bit-identical to one whole-stream Feed for arbitrary chunk partitions
+// — both run the same absolute block grid.
 func TestBankStreamMatchesOneShot(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	b := bankOf(r, 512, 2000, 128)
 	for _, nx := range []int{500, 5000, 30000} {
 		x := randReal(r, nx)
-		for _, normalized := range []bool{false, true} {
-			var want [][]float64
-			if normalized {
-				want = b.NormalizedCrossCorrelateAll(x)
-			} else {
-				want = b.CrossCorrelateAll(x)
-			}
-			for trial := 0; trial < 8; trial++ {
-				got := make([][]float64, b.Len())
-				var s *BankStream
-				if normalized {
-					s = b.StreamNormalized()
-				} else {
-					s = b.Stream()
-				}
-				collect := func(rows [][]float64) {
-					for i, row := range rows {
-						got[i] = append(got[i], row...)
-					}
-				}
-				prev := 0
-				for _, c := range randomCuts(r, nx) {
-					collect(s.Feed(x[prev:c]))
-					prev = c
-				}
-				collect(s.Feed(x[prev:]))
-				collect(s.Flush())
-				for i := range got {
-					if len(got[i]) != len(want[i]) {
-						t.Fatalf("nx=%d norm=%v t%d: length %d vs %d", nx, normalized, i, len(got[i]), len(want[i]))
-					}
-					for k := range got[i] {
-						if got[i][k] != want[i][k] {
-							t.Fatalf("nx=%d norm=%v t%d lag %d: stream %v vs one-shot %v", nx, normalized, i, k, got[i][k], want[i][k])
-						}
-					}
-				}
+		want := scan(b, x)
+		for trial := 0; trial < 8; trial++ {
+			got := feedPartition(b.Stream(), x, randomCuts(r, nx))
+			for i := range want {
+				sameBits(t, "partitioned stream", got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestBankStreamBoundedState: a Feed far larger than a block is consumed
+// one block at a time, so the session's sample buffer never outgrows the
+// block and the prefix window keeps its size, with output bit-identical
+// to any other partition.
+func TestBankStreamBoundedState(t *testing.T) {
+	r := rand.New(rand.NewSource(54))
+	b := bankOf(r, 300, 900)
+	x := randReal(r, 30*b.BlockLen())
+	s := b.Stream()
+	preCap := cap(s.pre)
+	rows := s.Feed(x)
+	got := make([][]float64, b.Len())
+	for i, row := range rows {
+		got[i] = append(got[i], row...)
+	}
+	if cap(s.buf) > b.BlockLen() || cap(s.pre) != preCap {
+		t.Fatalf("one large Feed grew session state: cap(buf) %d (block %d), cap(pre) %d -> %d",
+			cap(s.buf), b.BlockLen(), preCap, cap(s.pre))
+	}
+	for i, row := range s.Flush() {
+		got[i] = append(got[i], row...)
+	}
+	want := feedPartition(b.Stream(), x, randomCuts(r, len(x)))
+	for i := range want {
+		sameBits(t, "one large Feed vs random partition", got[i], want[i])
 	}
 }
 
@@ -104,13 +196,6 @@ func TestMatcherBankShortStream(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	b := bankOf(r, 100, 400)
 	x := randReal(r, 200) // long enough for template 0 only
-	outs := b.CrossCorrelateAll(x)
-	if len(outs[0]) != 101 {
-		t.Fatalf("template 0 got %d lags, want 101", len(outs[0]))
-	}
-	if outs[1] != nil {
-		t.Fatalf("template longer than stream must yield nil, got %d lags", len(outs[1]))
-	}
 	s := b.Stream()
 	s.Feed(x)
 	rows := s.Flush()
@@ -123,6 +208,11 @@ func TestMatcherBankPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"empty bank":     func() { NewMatcherBank() },
 		"empty template": func() { NewMatcherBank(NewMatcher(nil)) },
+		"flush twice": func() {
+			s := NewMatcherBank(NewMatcher([]float64{1})).Stream()
+			s.Flush()
+			s.Flush()
+		},
 	} {
 		func() {
 			defer func() {
@@ -135,56 +225,31 @@ func TestMatcherBankPanics(t *testing.T) {
 	}
 }
 
-// TestMatcherBankConcurrentSessions mirrors the PR 3 concurrent-table
-// tests for the engine-worker shape: one shared bank (shared cached
-// template spectra), one independent streaming session per goroutine,
-// plus concurrent one-shot scans. Run under -race in CI.
+// TestMatcherBankConcurrentSessions is the engine-worker shape: one
+// shared bank (shared cached template spectra), one independent session
+// per goroutine, half fed whole and half in odd-sized chunks. Run under
+// -race in CI.
 func TestMatcherBankConcurrentSessions(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	b := bankOf(r, 300, 900, 128)
 	x := randReal(r, 20000)
-	want := b.NormalizedCrossCorrelateAll(x)
+	want := scan(b, x)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if g%2 == 0 {
-				got := b.NormalizedCrossCorrelateAll(x)
-				for i := range got {
-					for k := range got[i] {
-						if got[i][k] != want[i][k] {
-							t.Errorf("one-shot diverged under concurrency (t%d lag %d)", i, k)
-							return
-						}
-					}
-				}
-				return
-			}
-			s := b.StreamNormalized()
-			got := make([][]float64, b.Len())
-			for off := 0; off < len(x); off += 1000 + 37*g {
-				end := off + 1000 + 37*g
-				if end > len(x) {
-					end = len(x)
-				}
-				for i, row := range s.Feed(x[off:end]) {
-					got[i] = append(got[i], row...)
+			var cuts []int
+			if g%2 == 1 {
+				for off := 1000 + 37*g; off < len(x); off += 1000 + 37*g {
+					cuts = append(cuts, off)
 				}
 			}
-			for i, row := range s.Flush() {
-				got[i] = append(got[i], row...)
-			}
+			got := feedPartition(b.Stream(), x, cuts)
 			for i := range got {
-				if len(got[i]) != len(want[i]) {
-					t.Errorf("session %d: t%d length %d vs %d", g, i, len(got[i]), len(want[i]))
+				if !slices.Equal(got[i], want[i]) {
+					t.Errorf("session %d diverged on template %d", g, i)
 					return
-				}
-				for k := range got[i] {
-					if got[i][k] != want[i][k] {
-						t.Errorf("session %d diverged (t%d lag %d)", g, i, k)
-						return
-					}
 				}
 			}
 		}(g)
@@ -192,39 +257,106 @@ func TestMatcherBankConcurrentSessions(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkMatcherBank3 scans a 2 s stream for three preamble-scale
-// templates in one bank pass; BenchmarkMatcherBank3Separate is the same
-// work as three independent matcher scans. The bank must come in
-// measurably under 3× a single scan (one shared forward transform per
-// block instead of three).
-func BenchmarkMatcherBank3(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	x := randReal(r, 88200)
-	bank := bankOf(r, 9840, 9840, 2048)
-	for _, row := range bank.NormalizedCrossCorrelateAllPooled(x) {
-		PutF64(row) // warm spectra
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, row := range bank.NormalizedCrossCorrelateAllPooled(x) {
-			PutF64(row)
+// TestStreamMatcherEquivalence: a streaming matched filter — a
+// single-template low-latency session — over randomized chunk partitions
+// (sizes from 0 to whole-stream, boundaries anywhere, including inside
+// the template span of a lag) matches the direct oracle within 1e-9 per
+// lag, and is bit-identical to the single-chunk feed.
+func TestStreamMatcherEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(40))
+	for _, tc := range []struct{ nx, nh int }{
+		{500, 64},
+		{2000, 200},
+		{9000, 1024},
+		{40000, 1024}, // many blocks
+		{300, 300},    // single lag
+		{1000, 999},
+	} {
+		x := randReal(r, tc.nx)
+		h := randReal(r, tc.nh)
+		b := NewMatcherBankLowLatency(NewMatcher(h))
+		oneChunk := scan(b, x)[0]
+		closeTo(t, "one chunk vs direct", oneChunk, normalizedDirect(x, h), 1e-9)
+		for trial := 0; trial < 10; trial++ {
+			sameBits(t, "partitioned", feedPartition(b.Stream(), x, randomCuts(r, tc.nx))[0], oneChunk)
 		}
 	}
 }
 
-func BenchmarkMatcherBank3Separate(b *testing.B) {
+// TestStreamMatcherSampleBySample feeds one sample at a time — the most
+// adversarial partition — against the direct oracle.
+func TestStreamMatcherSampleBySample(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	x := randReal(r, 1200)
+	h := randReal(r, 100)
+	cuts := make([]int, len(x))
+	for i := range cuts {
+		cuts[i] = i
+	}
+	got := feedPartition(NewMatcherBankLowLatency(NewMatcher(h)).Stream(), x, cuts)[0]
+	closeTo(t, "sample by sample", got, normalizedDirect(x, h), 1e-9)
+}
+
+func TestStreamMatcherShortStream(t *testing.T) {
+	b := NewMatcherBankLowLatency(NewMatcher(randReal(rand.New(rand.NewSource(42)), 128)))
+	s := b.Stream()
+	if got := s.Feed(make([]float64, 64))[0]; len(got) != 0 {
+		t.Fatalf("emitted %d lags before the template span filled", len(got))
+	}
+	if got := s.Flush()[0]; len(got) != 0 {
+		t.Fatalf("stream shorter than template flushed %d lags, want 0", len(got))
+	}
+	// Exactly template length: one lag.
+	s2 := b.Stream()
+	s2.Feed(randReal(rand.New(rand.NewSource(43)), 128))
+	if got := s2.Flush()[0]; len(got) != 1 {
+		t.Fatalf("template-length stream flushed %d lags, want 1", len(got))
+	}
+}
+
+func TestStreamMatcherFeedAfterFlushPanics(t *testing.T) {
+	s := NewMatcherBankLowLatency(NewMatcher([]float64{1, 2, 3})).Stream()
+	s.Flush()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Feed after Flush must panic")
+		}
+	}()
+	s.Feed([]float64{1})
+}
+
+// BenchmarkMatcherBank3 scans a 2 s stream for three preamble-scale
+// templates in one bank pass (one Feed, then Flush): one shared forward
+// transform per block feeds all three.
+func BenchmarkMatcherBank3(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x := randReal(r, 88200)
 	bank := bankOf(r, 9840, 9840, 2048)
-	for i := 0; i < bank.Len(); i++ {
-		PutF64(bank.Matcher(i).NormalizedCrossCorrelatePooled(x)) // warm spectra
-	}
+	scan(bank, x) // warm spectra
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k := 0; k < bank.Len(); k++ {
-			PutF64(bank.Matcher(k).NormalizedCrossCorrelatePooled(x))
+		s := bank.Stream()
+		s.Feed(x)
+		s.Flush()
+	}
+}
+
+// BenchmarkBankStream measures the detector's shape: a 2 s stream in
+// 4096-sample buffers against the preamble-length template on a
+// low-latency single-template session.
+func BenchmarkBankStream(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	x := randReal(r, 88200)
+	bank := NewMatcherBankLowLatency(NewMatcher(randReal(r, 9840)))
+	scan(bank, x) // warm the spectrum cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := bank.Stream()
+		for off := 0; off < len(x); off += 4096 {
+			s.Feed(x[off:min(off+4096, len(x))])
 		}
+		s.Flush()
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // Microbenchmarks for the three layers the kernel rework touched: the
 // complex pow2 transform (stage ladder), the fused permuted-domain
-// spectrum fold (the per-template cost in Matcher/MatcherBank), and the
-// rolling compensated normalization pass. CI tracks these alongside the
-// end-to-end correlation benchmarks to localize regressions to a layer.
+// spectrum fold (the per-template cost in a MatcherBank scan), and the
+// window-energy normalization pass. CI tracks these alongside the
+// end-to-end bank-scan benchmarks to localize regressions to a layer.
 
 func BenchmarkFFTPow2(b *testing.B) {
 	for _, n := range []int{1 << 10, 1 << 14, 1 << 17} {
@@ -45,17 +45,19 @@ func BenchmarkSpectrumMultiply(b *testing.B) {
 }
 
 func BenchmarkNormalizeFold(b *testing.B) {
-	// The single rolling-pass window-energy normalization over a 20 s
-	// stream at the preamble's template length.
+	// The window-energy normalization over a 20 s stream at the
+	// preamble's template length, reading a precomputed compensated
+	// energy prefix.
 	const n, hlen = 1 << 20, 9840
 	r := rand.New(rand.NewSource(1))
-	x := randReal(r, n)
+	prefix := make([]float64, n+1)
+	prefixSums(prefix[1:], randReal(r, n), 0, 0)
 	src := randReal(r, n-hlen+1)
 	work := make([]float64, len(src))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, src)
-		normalizeByWindowEnergy(work, x, hlen, 3.7)
+		normalizeWithPrefix(work, prefix, hlen, 3.7)
 	}
 }

@@ -7,9 +7,21 @@ import (
 	"testing"
 )
 
+// convolveDirect is the full linear convolution h ⊛ x (length
+// len(h)+len(x)-1) by the textbook double loop: the Convolver's oracle.
+func convolveDirect(h, x []float64) []float64 {
+	out := make([]float64, len(h)+len(x)-1)
+	for i, hv := range h {
+		for j, xv := range x {
+			out[i+j] += hv * xv
+		}
+	}
+	return out
+}
+
 // TestConvolverMatchesConvolve: every offset, filter length up to the
-// limit and clipping case agrees with the one-shot full convolution
-// placed into dst by hand.
+// limit and clipping case agrees with the direct full convolution placed
+// into dst by hand.
 func TestConvolverMatchesConvolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// One block (filters long against x) and many segments (filters short
@@ -33,7 +45,7 @@ func TestConvolverMatchesConvolve(t *testing.T) {
 			}
 			dst := make([]float64, sz.xLen+1000)
 			want := make([]float64, len(dst))
-			for k, v := range Convolve(h, x) {
+			for k, v := range convolveDirect(h, x) {
 				if j := tc.at + k; j >= 0 && j < len(want) {
 					want[j] = v
 				}

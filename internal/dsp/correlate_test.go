@@ -21,48 +21,45 @@ func TestCrossCorrelateFindsEmbeddedTemplate(t *testing.T) {
 	for i, v := range h {
 		x[at+i] += v
 	}
-	corr := CrossCorrelate(x, h)
-	idx, _ := Max(corr)
+	idx, _ := Max(scanOne(h, x))
 	if idx != at {
 		t.Fatalf("peak at %d, want %d", idx, at)
 	}
 }
 
+// TestCrossCorrelateDirectEqualsFFT pins the FFT scan, on both block
+// sizings, to the direct sliding-window oracle.
 func TestCrossCorrelateDirectEqualsFFT(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	x := make([]float64, 513)
 	for i := range x {
 		x[i] = r.NormFloat64()
 	}
-	h := make([]float64, 100) // >= 64 so public path uses FFT
-	for i := range h {
-		h[i] = r.NormFloat64()
-	}
-	fast := CrossCorrelate(x, h)
-	slow := xcorrDirect(x, h, false)
-	if len(fast) != len(slow) {
-		t.Fatalf("length mismatch %d vs %d", len(fast), len(slow))
-	}
-	for i := range fast {
-		if math.Abs(fast[i]-slow[i]) > 1e-9 {
-			t.Fatalf("mismatch at %d: %g vs %g", i, fast[i], slow[i])
+	for _, nh := range []int{7, 100} {
+		h := make([]float64, nh)
+		for i := range h {
+			h[i] = r.NormFloat64()
 		}
+		want := normalizedDirect(x, h)
+		closeTo(t, "low-latency block", scanOne(h, x), want, 1e-9)
+		closeTo(t, "throughput block", scan(NewMatcherBank(NewMatcher(h)), x)[0], want, 1e-9)
 	}
 }
 
 func TestCrossCorrelateEdgeCases(t *testing.T) {
-	if CrossCorrelate(nil, []float64{1}) != nil {
-		t.Error("nil x should give nil")
+	if got := scanOne([]float64{1}, nil); len(got) != 0 {
+		t.Errorf("empty stream gave %d lags", len(got))
 	}
-	if CrossCorrelate([]float64{1}, nil) != nil {
-		t.Error("nil h should give nil")
+	if got := scanOne([]float64{1, 2, 3}, []float64{1, 2}); len(got) != 0 {
+		t.Errorf("template longer than stream gave %d lags", len(got))
 	}
-	if CrossCorrelate([]float64{1, 2}, []float64{1, 2, 3}) != nil {
-		t.Error("h longer than x should give nil")
+	got := scanOne([]float64{1, 2, 3}, []float64{1, 2, 3})
+	if len(got) != 1 || math.Abs(got[0]-1) > 1e-12 {
+		t.Errorf("equal-length correlation = %v, want [1]", got)
 	}
-	got := CrossCorrelate([]float64{1, 2, 3}, []float64{1, 2, 3})
-	if len(got) != 1 || math.Abs(got[0]-14) > 1e-12 {
-		t.Errorf("equal-length correlation = %v, want [14]", got)
+	got = scanOne([]float64{1, 2, 3}, []float64{-2, -4, -6, 1})
+	if len(got) != 2 || math.Abs(got[0]+1) > 1e-12 {
+		t.Errorf("negated-template correlation = %v, want [-1 ...]", got)
 	}
 }
 
@@ -77,7 +74,7 @@ func TestNormalizedCrossCorrelateBounds(t *testing.T) {
 		for i := range h {
 			h[i] = r.NormFloat64()
 		}
-		for _, v := range NormalizedCrossCorrelate(x, h) {
+		for _, v := range scanOne(h, x) {
 			if v > 1+1e-9 || v < -1-1e-9 || math.IsNaN(v) {
 				return false
 			}
@@ -97,7 +94,7 @@ func TestNormalizedCrossCorrelatePerfectMatchIsOne(t *testing.T) {
 	}
 	x := make([]float64, 512)
 	copy(x[200:], h)
-	corr := NormalizedCrossCorrelate(x, h)
+	corr := scanOne(h, x)
 	if math.Abs(corr[200]-1) > 1e-9 {
 		t.Fatalf("exact match correlation = %g, want 1", corr[200])
 	}
@@ -105,7 +102,7 @@ func TestNormalizedCrossCorrelatePerfectMatchIsOne(t *testing.T) {
 	for i := range x {
 		x[i] *= 37.5
 	}
-	corr = NormalizedCrossCorrelate(x, h)
+	corr = scanOne(h, x)
 	if math.Abs(corr[200]-1) > 1e-9 {
 		t.Fatalf("scaled match correlation = %g, want 1", corr[200])
 	}
@@ -114,14 +111,14 @@ func TestNormalizedCrossCorrelatePerfectMatchIsOne(t *testing.T) {
 func TestNormalizedCrossCorrelateZeroWindow(t *testing.T) {
 	x := make([]float64, 100) // all zeros
 	h := []float64{1, -1, 1}
-	for _, v := range NormalizedCrossCorrelate(x, h) {
+	for _, v := range scanOne(h, x) {
 		if v != 0 {
 			t.Fatalf("zero-energy window gave %g, want 0", v)
 		}
 	}
 	// Zero-energy template.
 	x[3] = 1
-	for _, v := range NormalizedCrossCorrelate(x, make([]float64, 4)) {
+	for _, v := range scanOne(make([]float64, 4), x) {
 		if v != 0 {
 			t.Fatalf("zero template gave %g, want 0", v)
 		}
@@ -145,107 +142,6 @@ func TestSegmentCorrelation(t *testing.T) {
 	}
 }
 
-func TestAutoCorrelateLagZeroIsMeanEnergy(t *testing.T) {
-	x := []float64{1, -1, 2, -2}
-	ac := AutoCorrelate(x, 2)
-	want := (1.0 + 1 + 4 + 4) / 4
-	if math.Abs(ac[0]-want) > 1e-12 {
-		t.Errorf("lag0 = %g, want %g", ac[0], want)
-	}
-	if len(ac) != 3 {
-		t.Errorf("got %d lags, want 3", len(ac))
-	}
-	if AutoCorrelate(x, -1) != nil {
-		t.Error("negative maxLag should give nil")
-	}
-}
-
-func TestAutoCorrelateFFTMatchesDirect(t *testing.T) {
-	// Shapes chosen to cross the FFT threshold; the direct loop is the
-	// reference.
-	r := rand.New(rand.NewSource(15))
-	for _, tc := range []struct{ n, maxLag int }{
-		{4096, 64},
-		{4096, 4095}, // full-lag autocorrelation
-		{3000, 100},  // non-pow2 signal length
-		{600, 512},   // maxLag clamped near len(x)
-	} {
-		x := make([]float64, tc.n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		direct := make([]float64, 0, tc.maxLag+1)
-		for lag := 0; lag <= tc.maxLag && lag < tc.n; lag++ {
-			var s float64
-			for i := 0; i+lag < tc.n; i++ {
-				s += x[i] * x[i+lag]
-			}
-			direct = append(direct, s/float64(tc.n))
-		}
-		fast := make([]float64, len(direct))
-		autoCorrFFT(x, fast)
-		viaAPI := AutoCorrelate(x, tc.maxLag)
-		for lag := range direct {
-			if math.Abs(fast[lag]-direct[lag]) > 1e-9 {
-				t.Fatalf("n=%d maxLag=%d: FFT path lag %d: %g vs %g", tc.n, tc.maxLag, lag, fast[lag], direct[lag])
-			}
-			if math.Abs(viaAPI[lag]-direct[lag]) > 1e-9 {
-				t.Fatalf("n=%d maxLag=%d: API lag %d: %g vs %g", tc.n, tc.maxLag, lag, viaAPI[lag], direct[lag])
-			}
-		}
-	}
-}
-
-func BenchmarkAutoCorrelateLongLag(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	x := make([]float64, 1<<14)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AutoCorrelate(x, 4096)
-	}
-}
-
-func TestConvolveMatchesNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	x := make([]float64, 75)
-	k := make([]float64, 23)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	for i := range k {
-		k[i] = r.NormFloat64()
-	}
-	got := Convolve(x, k)
-	want := make([]float64, len(x)+len(k)-1)
-	for i := range x {
-		for j := range k {
-			want[i+j] += x[i] * k[j]
-		}
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("mismatch at %d: %g vs %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestComplexConvolveIdentity(t *testing.T) {
-	// Convolving with a unit impulse returns the input (circularly).
-	n := 173
-	r := rand.New(rand.NewSource(14))
-	a := randComplex(r, n)
-	d := make([]complex128, n)
-	d[0] = 1
-	got := ComplexConvolve(a, d)
-	if e := maxErrC(got, a); e > 1e-9 {
-		t.Fatalf("identity convolution error %g", e)
-	}
-}
-
 func TestCorrelationShiftProperty(t *testing.T) {
 	// Shifting the embedded template shifts the correlation peak equally.
 	f := func(seed int64) bool {
@@ -257,56 +153,10 @@ func TestCorrelationShiftProperty(t *testing.T) {
 		shift := int(uint(seed) % 500)
 		x := make([]float64, 700)
 		copy(x[shift:], h)
-		idx, _ := Max(CrossCorrelate(x, h))
+		idx, _ := Max(scanOne(h, x))
 		return idx == shift
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkCrossCorrelatePreambleLen(b *testing.B) {
-	// Realistic sizes: 2 s of audio at 44.1 kHz against a 9840-sample preamble.
-	r := rand.New(rand.NewSource(1))
-	x := make([]float64, 88200)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	h := make([]float64, 9840)
-	for i := range h {
-		h[i] = r.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CrossCorrelate(x, h)
-	}
-}
-
-// TestPooledCorrelateVariants: the pooled variants must match the plain
-// ones exactly and hand back buffers the pool will accept.
-func TestPooledCorrelateVariants(t *testing.T) {
-	x := make([]float64, 900)
-	h := make([]float64, 128)
-	for i := range x {
-		x[i] = float64(i%17) - 8
-	}
-	for i := range h {
-		h[i] = float64(i%5) - 2
-	}
-	for name, pair := range map[string][2][]float64{
-		"cross":      {CrossCorrelate(x, h), CrossCorrelatePooled(x, h)},
-		"normalized": {NormalizedCrossCorrelate(x, h), NormalizedCrossCorrelatePooled(x, h)},
-	} {
-		plain, pooled := pair[0], pair[1]
-		if len(plain) != len(pooled) {
-			t.Fatalf("%s: length %d vs %d", name, len(plain), len(pooled))
-		}
-		for i := range plain {
-			if plain[i] != pooled[i] {
-				t.Fatalf("%s: lag %d differs: %v vs %v", name, i, plain[i], pooled[i])
-			}
-		}
-		PutF64(pooled)
 	}
 }

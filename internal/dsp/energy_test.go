@@ -50,13 +50,13 @@ func (a *exactAccumulator) value() float64 {
 }
 
 // TestCompensatedEnergyMatchesExact10M is the regression test for the
-// Neumaier-compensated energy accumulation in energyPrefix and the
-// rolling pair of sums inside normalizeByWindowEnergy: on a 10^7-sample
-// stream with ~8 decades of dynamic range, the compensated prefix must
-// stay within a few ulps of an exact big.Float reference — where a plain
-// running float64 sum drifts by orders of magnitude more. The window
-// energies are what every normalized correlation divides by, so drift
-// here directly biases late-stream detection scores.
+// Neumaier-compensated energy accumulation behind every normalized
+// correlation (prefixSums, carried across chunks by BankStream): on a
+// 10^7-sample stream with ~8 decades of dynamic range, the compensated
+// prefix must stay within a few ulps of an exact reference — where a
+// plain running float64 sum drifts by orders of magnitude more. The
+// window energies are what every normalized correlation divides by, so
+// drift here directly biases late-stream detection scores.
 func TestCompensatedEnergyMatchesExact10M(t *testing.T) {
 	const n = 10_000_000
 	r := rand.New(rand.NewSource(64))
@@ -68,7 +68,7 @@ func TestCompensatedEnergyMatchesExact10M(t *testing.T) {
 	}
 
 	prefix := make([]float64, n+1)
-	energyPrefix(prefix, x)
+	prefixSums(prefix[1:], x, 0, 0)
 
 	// Exact reference (error-free Shewchuk expansion) and a plain float64
 	// sum for the drift comparison, checked at log-spaced probe points.
@@ -103,21 +103,17 @@ func TestCompensatedEnergyMatchesExact10M(t *testing.T) {
 	}
 	t.Logf("worst rel err over %d probes: compensated %.3g, plain %.3g", len(probes), worstComp, worstPlain)
 
-	// The rolling two-accumulator pass in normalizeByWindowEnergy must
-	// agree with the compensated prefix to the same standard: feed it an
-	// all-ones correlation so its output exposes the raw window energies.
-	const hlen = 4096
-	nOut := 2_000_000
-	ones := make([]float64, nOut)
-	for i := range ones {
-		ones[i] = 1
+	// A session fed the same stream in odd-sized chunks carries the running
+	// state across chunk and block boundaries: its rolling prefix window at
+	// the end of the stream holds exactly the one-pass prefix values.
+	s := NewMatcherBankLowLatency(NewMatcher(x[:1024])).Stream()
+	for off := 0; off < n; off += 65521 {
+		s.Feed(x[off:min(off+65521, n)])
 	}
-	normalizeByWindowEnergy(ones, x, hlen, 1)
-	for _, k := range []int{0, 1, 999_999, nOut - 1} {
-		ewin := prefix[k+hlen] - prefix[k]
-		want := 1 / math.Sqrt(ewin)
-		if math.Abs(ones[k]-want) > 1e-12*want {
-			t.Fatalf("rolling window energy at lag %d: %g vs prefix-derived %g", k, ones[k], want)
+	for i, v := range s.pre[:s.bufLen+1] {
+		if want := prefix[s.start+i]; v != want {
+			t.Fatalf("session prefix at %d: %v vs one-pass %v", s.start+i, v, want)
 		}
 	}
+	s.Flush()
 }

@@ -5,16 +5,16 @@
 // Everything is written against float64/complex128 slices so the receiver
 // pipeline can run allocation-free on hot paths: transforms draw scratch
 // from the package pool, twiddle/bit-reversal tables and Bluestein chirp
-// setups are cached package-wide per size, and correlation functions
-// accept destination buffers.
+// setups are cached package-wide per size, and streaming sessions reuse
+// their emission buffers.
 //
 // The two transform tiers are FFT/IFFT (complex, power-of-two, shared
-// cached twiddles) and RFFT/IRFFT (real input/output at half the cost);
-// Plan handles arbitrary lengths via Bluestein. For repeated matched
-// filtering against one known template — the receiver's dominant
-// workload — Matcher precomputes the template spectrum once and reuses it
-// for every stream (see its doc for when to prefer it over the one-shot
-// CrossCorrelate helpers).
+// cached twiddles) and RFFT (real input at half the cost); Plan handles
+// arbitrary lengths via Bluestein. Matched filtering against known
+// templates — the receiver's dominant workload — has exactly one engine:
+// a MatcherBank of Matchers (each caching its template spectrum) scanned
+// by a BankStream session, whether the stream arrives buffer by buffer or
+// all at once.
 package dsp
 
 import (
@@ -198,43 +198,4 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 		}
 		x[k] = v
 	}
-}
-
-// FFTReal transforms a real signal, returning a freshly allocated complex
-// spectrum of the same length (convenience wrapper; hot paths use Plan or
-// RFFT). Power-of-two lengths go through the half-size real transform
-// and are mirrored out by conjugate symmetry.
-func FFTReal(x []float64) []complex128 {
-	n := len(x)
-	c := make([]complex128, n)
-	if IsPow2(n) && n > 1 {
-		spec := GetC128(n/2 + 1)
-		RFFT(spec, x)
-		copy(c, spec)
-		for k := 1; k < n/2; k++ {
-			c[n-k] = cmplx.Conj(spec[k])
-		}
-		PutC128(spec)
-		return c
-	}
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	// NewPlan is a cached-setup lookup (see bluesteinFor), so per-call
-	// plan construction costs nothing measurable.
-	NewPlan(n).Forward(c)
-	return c
-}
-
-// IFFTReal inverts a spectrum and returns the real part of the result.
-func IFFTReal(spec []complex128) []float64 {
-	c := GetC128(len(spec))
-	copy(c, spec)
-	NewPlan(len(c)).Inverse(c)
-	out := make([]float64, len(c))
-	for i, v := range c {
-		out[i] = real(v)
-	}
-	PutC128(c)
-	return out
 }

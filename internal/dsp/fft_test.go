@@ -237,18 +237,21 @@ func TestParsevalProperty(t *testing.T) {
 	}
 }
 
+// TestFFTRealRoundTrip: a real signal of awkward length survives the
+// Bluestein plan's forward and inverse transforms with its imaginary part
+// staying zero.
 func TestFFTRealRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	x := make([]float64, 300)
+	x := make([]complex128, 300)
 	for i := range x {
-		x[i] = r.NormFloat64()
+		x[i] = complex(r.NormFloat64(), 0)
 	}
-	spec := FFTReal(x)
-	back := IFFTReal(spec)
-	for i := range x {
-		if math.Abs(back[i]-x[i]) > 1e-9 {
-			t.Fatalf("roundtrip mismatch at %d: %g vs %g", i, back[i], x[i])
-		}
+	back := append([]complex128(nil), x...)
+	p := NewPlan(len(x))
+	p.Forward(back)
+	p.Inverse(back)
+	if e := maxErrC(back, x); e > 1e-9 {
+		t.Fatalf("roundtrip max error %g", e)
 	}
 }
 

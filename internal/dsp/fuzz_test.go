@@ -1,19 +1,17 @@
 package dsp
 
 import (
-	"math"
 	"slices"
 	"testing"
 )
 
-// FuzzStreamMatcherChunking fuzzes signal content and chunk-split points
-// against two references: the one-shot Matcher correlation (rounding-
-// level tolerance — different FFT block grid) and the single-chunk
-// streaming session (bit-exact — same absolute block grid by
-// construction). The template is the stream's own prefix so the fuzzer
-// controls correlation structure (plateaus, exact ties, constants)
-// directly through the input bytes.
-func FuzzStreamMatcherChunking(f *testing.F) {
+// FuzzBankStreamChunking fuzzes signal content and chunk-split points
+// against two references: the direct sliding-window oracle (rounding-
+// level tolerance) and the single-chunk session (bit-exact — same
+// absolute block grid by construction). The template is the stream's own
+// prefix so the fuzzer controls correlation structure (plateaus, exact
+// ties, constants) directly through the input bytes.
+func FuzzBankStreamChunking(f *testing.F) {
 	f.Add([]byte{7, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(append([]byte{40, 5}, make([]byte, 400)...)) // constant signal: all-tie plateaus
 	seed := []byte{90, 200}
@@ -31,34 +29,10 @@ func FuzzStreamMatcherChunking(f *testing.F) {
 			x[i] = (float64(b) - 128) / 128
 		}
 		hlen := 1 + int(header[0])%(len(x)/2)
-		mt := NewMatcher(x[:hlen])
+		b := NewMatcherBankLowLatency(NewMatcher(x[:hlen]))
 
-		wantRaw := mt.CrossCorrelate(x)
-		wantNorm := mt.NormalizedCrossCorrelate(x)
-		if hlen >= directCorrMin {
-			// The FFT kernel is in play: pin it to the O(n·h) sliding dot
-			// product so a kernel regression can't hide behind the
-			// stream-vs-one-shot comparison (both sides share the kernel).
-			direct := xcorrDirect(x, x[:hlen], false)
-			for i := range direct {
-				if math.Abs(wantRaw[i]-direct[i]) > 1e-9*(1+math.Abs(direct[i])) {
-					t.Fatalf("kernel lag %d: FFT %g vs direct %g", i, wantRaw[i], direct[i])
-				}
-			}
-		}
-		refRaw := feedPartition(mt.Stream(), x, nil)
-		refNorm := feedPartition(mt.StreamNormalized(), x, nil)
-		if len(refRaw) != len(wantRaw) || len(refNorm) != len(wantNorm) {
-			t.Fatalf("lengths %d/%d, want %d", len(refRaw), len(refNorm), len(wantRaw))
-		}
-		for i := range wantRaw {
-			if math.Abs(refRaw[i]-wantRaw[i]) > 1e-9*(1+math.Abs(wantRaw[i])) {
-				t.Fatalf("raw lag %d: stream %g vs one-shot %g", i, refRaw[i], wantRaw[i])
-			}
-			if math.Abs(refNorm[i]-wantNorm[i]) > 1e-9 {
-				t.Fatalf("normalized lag %d: stream %g vs one-shot %g", i, refNorm[i], wantNorm[i])
-			}
-		}
+		ref := scan(b, x)[0]
+		closeTo(t, "one chunk vs direct", ref, normalizedDirect(x, x[:hlen]), 1e-9)
 
 		// Chunk boundaries straight from the fuzz input: up to 7 cuts.
 		nc := int(header[1]) % 8
@@ -67,15 +41,6 @@ func FuzzStreamMatcherChunking(f *testing.F) {
 			cuts = append(cuts, int(body[k])*len(x)/256)
 		}
 		slices.Sort(cuts)
-		gotRaw := feedPartition(mt.Stream(), x, cuts)
-		gotNorm := feedPartition(mt.StreamNormalized(), x, cuts)
-		for i := range refRaw {
-			if gotRaw[i] != refRaw[i] {
-				t.Fatalf("cuts %v: raw lag %d not chunk-invariant: %v vs %v", cuts, i, gotRaw[i], refRaw[i])
-			}
-			if gotNorm[i] != refNorm[i] {
-				t.Fatalf("cuts %v: normalized lag %d not chunk-invariant: %v vs %v", cuts, i, gotNorm[i], refNorm[i])
-			}
-		}
+		sameBits(t, "chunked", feedPartition(b.Stream(), x, cuts)[0], ref)
 	})
 }

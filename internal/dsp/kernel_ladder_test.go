@@ -14,8 +14,8 @@ import (
 // mixed radix-4/2 ladder when it is odd — consecutive sizes alternate
 // between the two). Small sizes compare every bin against the O(n²)
 // naive DFT; large sizes spot-check a spread of bins against a direct
-// DFT evaluated with exact integer phase arithmetic, plus a full IRFFT
-// round-trip.
+// DFT evaluated with exact integer phase arithmetic, plus a full round
+// trip through the packed forward and inverse transforms.
 
 // dftBin evaluates spectrum bin k of the real signal x directly, with
 // the angle reduced by integer arithmetic ((k·t) mod n) so the reference
@@ -65,11 +65,10 @@ func TestRFFTLadderExactness(t *testing.T) {
 				}
 			}
 		}
-		back := make([]float64, n)
-		IRFFT(back, got)
+		back := packedRoundTrip(x)
 		for i := range x {
 			if math.Abs(back[i]-x[i]) > 1e-10*float64(n) {
-				t.Fatalf("n=%d: IRFFT roundtrip mismatch at %d", n, i)
+				t.Fatalf("n=%d: packed roundtrip mismatch at %d", n, i)
 			}
 		}
 	}
@@ -108,33 +107,33 @@ func TestPackedDIFMatchesDITOrder(t *testing.T) {
 // construction. Under -race this proves the double-checked publication
 // in tables.go and Matcher.spectrum.
 func TestConcurrentKernelTableConstruction(t *testing.T) {
-	sizes := []int{1 << 7, 1 << 9, 1 << 11, 1 << 13}
-	tmpl := randReal(rand.New(rand.NewSource(63)), 96)
+	r := rand.New(rand.NewSource(63))
+	tmpl := randReal(r, 96)
 	mt := NewMatcher(tmpl)
-	bank := NewMatcherBank(mt, NewMatcher(tmpl[:80]))
+	// Block sizes 2^8 … 2^13 across both bank sizings; mt sits in every
+	// bank, so its spectrum cache fills at every size concurrently.
+	var banks []*MatcherBank
+	for _, l := range []int{96, 200, 400, 800} {
+		other := NewMatcher(randReal(r, l))
+		banks = append(banks, NewMatcherBank(mt, other), NewMatcherBankLowLatency(mt, other))
+	}
+	x := randReal(r, 3000)
+	want := normalizedDirect(x, tmpl)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for _, n := range sizes {
-				x := randReal(r, n)
-				direct := xcorrDirect(x, tmpl, false)
-				got := mt.CrossCorrelate(x)
-				for i := range direct {
-					if math.Abs(got[i]-direct[i]) > 1e-9*(1+math.Abs(direct[i])) {
-						t.Errorf("n=%d lag %d: %g vs direct %g", n, i, got[i], direct[i])
+			for _, b := range banks {
+				got := scan(b, x)[0]
+				for i := range want {
+					if math.Abs(got[i]-want[i]) > 1e-9 {
+						t.Errorf("block %d lag %d: %g vs direct %g", b.BlockLen(), i, got[i], want[i])
 						return
 					}
 				}
-				if one := CrossCorrelate(x, tmpl); math.Abs(one[0]-direct[0]) > 1e-9*(1+math.Abs(direct[0])) {
-					t.Errorf("n=%d: one-shot lag 0 mismatch", n)
-					return
-				}
-				bank.CrossCorrelateAll(x)
 			}
-		}(int64(g))
+		}()
 	}
 	wg.Wait()
 }

@@ -1,57 +1,40 @@
 package dsp
 
 import (
-	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
 
+// TestMatcherMatchesOneShotCorrelation: one matcher on both block
+// sizings — two cached spectra, two block grids — matches the direct
+// oracle on every lag.
 func TestMatcherMatchesOneShotCorrelation(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	for _, tc := range []struct{ nx, nh int }{
-		{40, 7},    // direct path (short template)
-		{513, 100}, // FFT path, odd stream length
-		{2000, 200},
+		{40, 7},     // short template
+		{513, 100},  // odd stream length
+		{2000, 200}, // several blocks
 		{9000, 1024},
 		{300, 300}, // equal lengths: single lag
 	} {
 		x := randReal(r, tc.nx)
 		h := randReal(r, tc.nh)
 		mt := NewMatcher(h)
-		plain := CrossCorrelate(x, h)
-		got := mt.CrossCorrelate(x)
-		if len(plain) != len(got) {
-			t.Fatalf("nx=%d nh=%d: length %d vs %d", tc.nx, tc.nh, len(got), len(plain))
-		}
-		for i := range plain {
-			if math.Abs(plain[i]-got[i]) > 1e-9 {
-				t.Fatalf("nx=%d nh=%d: lag %d: %g vs %g", tc.nx, tc.nh, i, got[i], plain[i])
-			}
-		}
-		pn := NormalizedCrossCorrelate(x, h)
-		gn := mt.NormalizedCrossCorrelate(x)
-		for i := range pn {
-			if math.Abs(pn[i]-gn[i]) > 1e-9 {
-				t.Fatalf("nx=%d nh=%d: normalized lag %d: %g vs %g", tc.nx, tc.nh, i, gn[i], pn[i])
-			}
-		}
+		want := normalizedDirect(x, h)
+		closeTo(t, "throughput bank", scan(NewMatcherBank(mt), x)[0], want, 1e-9)
+		closeTo(t, "low-latency bank", scan(NewMatcherBankLowLatency(mt), x)[0], want, 1e-9)
 	}
 }
 
 func TestMatcherEdgeCases(t *testing.T) {
 	mt := NewMatcher([]float64{1, 2, 3})
-	if mt.CrossCorrelate(nil) != nil {
-		t.Error("nil x should give nil")
+	if mt.TemplateLen() != 3 || len(mt.Template()) != 3 {
+		t.Errorf("template length %d/%d, want 3", mt.TemplateLen(), len(mt.Template()))
 	}
-	if mt.CrossCorrelate([]float64{1, 2}) != nil {
-		t.Error("x shorter than template should give nil")
-	}
-	if NewMatcher(nil).CrossCorrelate([]float64{1, 2}) != nil {
-		t.Error("empty template should give nil")
-	}
-	if got := mt.NormalizedCrossCorrelate(make([]float64, 8)); got == nil {
-		t.Error("zero stream should normalize, not vanish")
+	if got := scan(NewMatcherBank(mt), make([]float64, 8))[0]; len(got) != 6 {
+		t.Errorf("zero stream gave %d lags, want 6", len(got))
 	} else {
 		for _, v := range got {
 			if v != 0 {
@@ -61,7 +44,7 @@ func TestMatcherEdgeCases(t *testing.T) {
 	}
 	// Zero-energy template: defined as all-zero output.
 	zt := NewMatcher(make([]float64, 4))
-	for _, v := range zt.NormalizedCrossCorrelate(randReal(rand.New(rand.NewSource(1)), 64)) {
+	for _, v := range scan(NewMatcherBank(zt), randReal(rand.New(rand.NewSource(1)), 64))[0] {
 		if v != 0 {
 			t.Fatalf("zero template gave %g, want 0", v)
 		}
@@ -77,134 +60,56 @@ func TestMatcherTemplateIsACopy(t *testing.T) {
 	}
 }
 
+// TestMatcherOverlapSaveMatchesOneShot: streams spanning many overlap-save
+// blocks agree with the direct whole-stream correlation on every lag,
+// including the zero-padded tail blocks.
 func TestMatcherOverlapSaveMatchesOneShot(t *testing.T) {
-	// Force the blocked path with a stream long enough that the one-shot
-	// padded length exceeds two blocks, then compare against the one-shot
-	// result on identical input.
 	r := rand.New(rand.NewSource(31))
-	h := randReal(r, 256) // blockLen = NextPow2(8*256) = 2048
-	mt := NewMatcher(h)
+	h := randReal(r, 256) // throughput block 2048, hop 1793
+	b := NewMatcherBank(NewMatcher(h))
 	for _, nx := range []int{6000, 8192, 20000, 65536 - 255} {
 		x := randReal(r, nx)
-		oneShot := make([]float64, nx-len(h)+1)
-		{
-			m := NextPow2(nx + len(h) - 1)
-			if m <= 2*mt.blockLen() {
-				t.Fatalf("nx=%d does not exercise overlap-save (m=%d, block=%d)", nx, m, mt.blockLen())
-			}
-			copy(oneShot, CrossCorrelate(x, h))
+		if blocks := (nx - len(h) + b.hop) / b.hop; blocks < 3 {
+			t.Fatalf("nx=%d spans only %d blocks", nx, blocks)
 		}
-		got := mt.corrOverlapSave(x, mt.blockLen(), false)
-		if len(got) != len(oneShot) {
-			t.Fatalf("nx=%d: length %d vs %d", nx, len(got), len(oneShot))
-		}
-		for i := range got {
-			if math.Abs(got[i]-oneShot[i]) > 1e-9 {
-				t.Fatalf("nx=%d: lag %d: blocked %g vs one-shot %g", nx, i, got[i], oneShot[i])
-			}
-		}
-		// The public path must agree too (it picks overlap-save here).
-		pub := mt.CrossCorrelate(x)
-		for i := range pub {
-			if math.Abs(pub[i]-oneShot[i]) > 1e-9 {
-				t.Fatalf("nx=%d: public path lag %d: %g vs %g", nx, i, pub[i], oneShot[i])
-			}
-		}
+		closeTo(t, "blocked scan", scan(b, x)[0], normalizedDirect(x, h), 1e-9)
 	}
 }
 
-func TestMatcherPooledVariantsMatch(t *testing.T) {
-	r := rand.New(rand.NewSource(32))
-	x := randReal(r, 3000)
-	h := randReal(r, 128)
-	mt := NewMatcher(h)
-	for name, pair := range map[string][2][]float64{
-		"cross":      {mt.CrossCorrelate(x), mt.CrossCorrelatePooled(x)},
-		"normalized": {mt.NormalizedCrossCorrelate(x), mt.NormalizedCrossCorrelatePooled(x)},
-	} {
-		plain, pooled := pair[0], pair[1]
-		if len(plain) != len(pooled) {
-			t.Fatalf("%s: length %d vs %d", name, len(plain), len(pooled))
-		}
-		for i := range plain {
-			if plain[i] != pooled[i] {
-				t.Fatalf("%s: lag %d differs: %v vs %v", name, i, plain[i], pooled[i])
-			}
-		}
-		PutF64(pooled)
-	}
-}
-
-// TestMatcherConcurrentUse shares one matcher across goroutines hitting
-// multiple padded lengths at once; under -race this validates the
-// spectrum cache's locking and the immutability of published spectra.
+// TestMatcherConcurrentUse shares one matcher across goroutines scanning
+// at two block sizes at once; under -race this validates the spectrum
+// cache's locking and the immutability of published spectra.
 func TestMatcherConcurrentUse(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
-	h := randReal(r, 200)
-	mt := NewMatcher(h)
-	want := map[int][]float64{}
-	streams := map[int][]float64{}
-	for _, nx := range []int{500, 1000, 2000, 4000} {
-		x := randReal(r, nx)
-		streams[nx] = x
-		want[nx] = NormalizedCrossCorrelate(x, h)
+	mt := NewMatcher(randReal(r, 200))
+	banks := []*MatcherBank{NewMatcherBank(mt), NewMatcherBankLowLatency(mt)}
+	x := randReal(r, 4000)
+	// Reference from a fresh matcher, so the shared one's caches are
+	// first built under contention.
+	fresh := NewMatcher(mt.Template())
+	want := [][]float64{
+		scan(NewMatcherBank(fresh), x)[0],
+		scan(NewMatcherBankLowLatency(fresh), x)[0],
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			for nx, x := range streams {
-				got := mt.NormalizedCrossCorrelate(x)
-				for i := range got {
-					if math.Abs(got[i]-want[nx][i]) > 1e-9 {
-						t.Errorf("nx=%d: concurrent result diverged at lag %d", nx, i)
-						return
-					}
-				}
+			i := g % len(banks)
+			if got := scan(banks[i], x)[0]; !slices.Equal(got, want[i]) {
+				t.Errorf("goroutine %d: concurrent result diverged", g)
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 }
 
 func TestMatcherDeterministicAcrossCalls(t *testing.T) {
-	// Same input must give bit-identical output on every call (the engine's
-	// determinism contract relies on it).
+	// Same input must give bit-identical output on every session (the
+	// engine's determinism contract relies on it).
 	r := rand.New(rand.NewSource(34))
 	x := randReal(r, 5000)
-	mt := NewMatcher(randReal(r, 300))
-	a := mt.NormalizedCrossCorrelate(x)
-	b := mt.NormalizedCrossCorrelate(x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("lag %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-// BenchmarkMatcher mirrors BenchmarkCrossCorrelatePreambleLen (2 s stream
-// vs preamble-length template) with the template spectrum precomputed.
-func BenchmarkMatcher(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	x := randReal(r, 88200)
-	mt := NewMatcher(randReal(r, 9840))
-	mt.CrossCorrelatePooled(x) // warm the spectrum cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PutF64(mt.CrossCorrelatePooled(x))
-	}
-}
-
-func BenchmarkMatcherNormalized(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	x := randReal(r, 88200)
-	mt := NewMatcher(randReal(r, 9840))
-	mt.CrossCorrelatePooled(x)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PutF64(mt.NormalizedCrossCorrelatePooled(x))
-	}
+	b := NewMatcherBank(NewMatcher(randReal(r, 300)))
+	sameBits(t, "second session", scan(b, x)[0], scan(b, x)[0])
 }

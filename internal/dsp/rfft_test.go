@@ -88,14 +88,27 @@ func TestRFFTOddLengthViaPadding(t *testing.T) {
 	}
 }
 
+// packedRoundTrip runs x through the real forward transform the scan
+// and filter engines use (rfftPacked, permuted packed spectrum out) and
+// their inverse (the DIT kernel, then interleaveScaled), which must give
+// x back.
+func packedRoundTrip(x []float64) []float64 {
+	h := len(x) / 2
+	zre, zim := make([]float64, h), make([]float64, h)
+	rfftPacked(zre, zim, x)
+	fftSoA(zre, zim, true)
+	back := make([]float64, len(x))
+	interleaveScaled(back, zre, zim, h)
+	return back
+}
+
+// TestIRFFTInvertsRFFT: the packed inverse real transform undoes the
+// packed forward one at every kernel ladder shape.
 func TestIRFFTInvertsRFFT(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	for _, n := range []int{1, 2, 4, 8, 32, 256, 2048} {
+	for _, n := range []int{2, 4, 8, 32, 256, 2048} {
 		x := randReal(r, n)
-		spec := make([]complex128, n/2+1)
-		RFFT(spec, x)
-		back := make([]float64, n)
-		IRFFT(back, spec)
+		back := packedRoundTrip(x)
 		for i := range x {
 			if math.Abs(back[i]-x[i]) > 1e-10*float64(n) {
 				t.Fatalf("n=%d: roundtrip mismatch at %d: %g vs %g", n, i, back[i], x[i])
@@ -115,21 +128,19 @@ func TestRFFTDoesNotModifyInput(t *testing.T) {
 			t.Fatalf("RFFT modified input at %d", i)
 		}
 	}
-	IRFFT(make([]float64, 128), spec)
-	specOrig := append([]complex128(nil), spec...)
-	for i := range spec {
-		if spec[i] != specOrig[i] {
-			t.Fatalf("IRFFT modified spectrum at %d", i)
+	zre, zim := make([]float64, 64), make([]float64, 64)
+	rfftPacked(zre, zim, x)
+	for i := range x {
+		if x[i] != orig[i] {
+			t.Fatalf("rfftPacked modified input at %d", i)
 		}
 	}
 }
 
 func TestRFFTPanicsOnBadLengths(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"non-pow2 input":   func() { RFFT(make([]complex128, 2), make([]float64, 3)) },
-		"short output":     func() { RFFT(make([]complex128, 4), make([]float64, 8)) },
-		"irfft non-pow2":   func() { IRFFT(make([]float64, 6), make([]complex128, 4)) },
-		"irfft bins wrong": func() { IRFFT(make([]float64, 8), make([]complex128, 4)) },
+		"non-pow2 input": func() { RFFT(make([]complex128, 2), make([]float64, 3)) },
+		"short output":   func() { RFFT(make([]complex128, 4), make([]float64, 8)) },
 	} {
 		func() {
 			defer func() {
@@ -158,8 +169,7 @@ func TestConcurrentTransformsShareTables(t *testing.T) {
 				x := randReal(r, n)
 				spec := make([]complex128, n/2+1)
 				RFFT(spec, x)
-				back := make([]float64, n)
-				IRFFT(back, spec)
+				back := packedRoundTrip(x)
 				for j := range x {
 					if math.Abs(back[j]-x[j]) > 1e-8 {
 						t.Errorf("goroutine %d: roundtrip mismatch", seed)
@@ -178,8 +188,8 @@ func TestConcurrentTransformsShareTables(t *testing.T) {
 }
 
 func BenchmarkRFFT(b *testing.B) {
-	// The padded length of a 2 s stream correlation (see
-	// BenchmarkCrossCorrelatePreambleLen): 131072 samples.
+	// The padded length of a 2 s stream against the preamble in one
+	// padded transform: 131072 samples.
 	const n = 1 << 17
 	x := randReal(rand.New(rand.NewSource(1)), n)
 	spec := make([]complex128, n/2+1)
@@ -187,18 +197,5 @@ func BenchmarkRFFT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		RFFT(spec, x)
-	}
-}
-
-func BenchmarkIRFFT(b *testing.B) {
-	const n = 1 << 17
-	x := randReal(rand.New(rand.NewSource(1)), n)
-	spec := make([]complex128, n/2+1)
-	RFFT(spec, x)
-	out := make([]float64, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		IRFFT(out, spec)
 	}
 }

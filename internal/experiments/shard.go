@@ -346,7 +346,7 @@ type shardable struct {
 }
 
 // shardRegistry lists every experiment that runs through the
-// accumulate/render split. The streaming/ingest/service experiments stay
+// accumulate/render split. The ingest/service experiments stay
 // out: they measure live pipelines (latency, deadline misses) whose
 // results are not a fold over independent trials.
 var shardRegistry = map[string]shardable{

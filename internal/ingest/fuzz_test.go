@@ -33,7 +33,7 @@ func FuzzIngestPipeline(f *testing.F) {
 		h0 := 1 + int(header[0])%(len(x)/2)
 		h1 := 1 + int(header[1])%(len(x)/2)
 		bank := dsp.NewMatcherBank(dsp.NewMatcher(x[:h0]), dsp.NewMatcher(x[:h1]))
-		want := bank.NormalizedCrossCorrelateAll(x)
+		want := oneShot(bank, x)
 
 		// Buffer boundaries straight from the fuzz input: up to 7 cuts,
 		// including empty buffers via repeated cut points.
@@ -47,7 +47,7 @@ func FuzzIngestPipeline(f *testing.F) {
 		// Consumer-set size also comes from the input; the transform count
 		// must not change with it.
 		ncons := 1 + int(header[2])%3
-		pipe := ingest.New(ingest.Config{Bank: bank, Normalized: true})
+		pipe := ingest.New(ingest.Config{Bank: bank})
 		cols := make([]*ingest.Collect, bank.Len())
 		for i := range cols {
 			cols[i] = ingest.NewCollect(i, 0)
@@ -94,7 +94,7 @@ func FuzzIngestPipeline(f *testing.F) {
 		}
 		// One forward transform per block, independent of the consumer set:
 		// re-run with a single consumer and compare.
-		solo := ingest.New(ingest.Config{Bank: bank, Normalized: true})
+		solo := ingest.New(ingest.Config{Bank: bank})
 		solo.Register(ingest.NewArgMax(0))
 		before = dsp.BankForwardTransforms()
 		solo.Push(x)

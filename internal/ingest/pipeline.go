@@ -35,11 +35,10 @@ import (
 
 // Config assembles a Pipeline.
 type Config struct {
-	// Bank is the template bank driving the shared scan. Required.
+	// Bank is the template bank driving the shared scan: each consumer
+	// receives its template's window-energy normalized correlation
+	// (values in [-1, 1], see dsp.BankStream). Required.
 	Bank *dsp.MatcherBank
-	// Normalized selects window-energy normalized correlation (values in
-	// [-1, 1]), matching MatcherBank.NormalizedCrossCorrelateAll.
-	Normalized bool
 	// SampleRate (Hz) converts buffer lengths to audio durations for the
 	// deadline budget. Required when Meter is set; otherwise unused.
 	SampleRate float64
@@ -105,11 +104,7 @@ func New(cfg Config) *Pipeline {
 	if cfg.Policy.Mode != PolicyNone {
 		p.pol = newPolicyState(cfg.Policy)
 	}
-	if cfg.Normalized {
-		p.bs = cfg.Bank.StreamNormalized()
-	} else {
-		p.bs = cfg.Bank.Stream()
-	}
+	p.bs = cfg.Bank.Stream()
 	if cfg.Prefilter != nil {
 		p.fir = cfg.Prefilter.Stream()
 	}

@@ -30,6 +30,20 @@ func testBank(fs float64) *dsp.MatcherBank {
 	return dsp.NewMatcherBank(dsp.NewMatcher(t0), dsp.NewMatcher(t1), dsp.NewMatcher(t2))
 }
 
+// oneShot scans a whole in-memory stream with a bare bank session: one
+// Feed, then Flush — the reference every pipeline partition must match.
+func oneShot(bank *dsp.MatcherBank, stream []float64) [][]float64 {
+	s := bank.Stream()
+	out := make([][]float64, bank.Len())
+	for i, row := range s.Feed(stream) {
+		out[i] = append(out[i], row...)
+	}
+	for i, row := range s.Flush() {
+		out[i] = append(out[i], row...)
+	}
+	return out
+}
+
 // feedPartition pushes stream through the pipeline cut at the given
 // boundaries, then closes it.
 func feedPartition(p *ingest.Pipeline, stream []float64, cuts []int) {
@@ -58,8 +72,7 @@ func randomCuts(rng *rand.Rand, n, k int) []int {
 }
 
 // TestPipelineMatchesOneShot: for any buffer partition, every template's
-// collected correlation is bit-identical to the one-shot bank scan, in
-// both plain and normalized modes.
+// collected correlation is bit-identical to the one-shot bank scan.
 func TestPipelineMatchesOneShot(t *testing.T) {
 	const fs = 44100.0
 	bank := testBank(fs)
@@ -67,32 +80,23 @@ func TestPipelineMatchesOneShot(t *testing.T) {
 	copy(stream[4000:], bank.Matcher(0).Template())
 	copy(stream[12000:], bank.Matcher(1).Template())
 	rng := rand.New(rand.NewSource(7))
-	for _, normalized := range []bool{false, true} {
-		var want [][]float64
-		if normalized {
-			want = bank.NormalizedCrossCorrelateAll(stream)
-		} else {
-			want = bank.CrossCorrelateAll(stream)
+	want := oneShot(bank, stream)
+	for trial := 0; trial < 8; trial++ {
+		pipe := ingest.New(ingest.Config{Bank: bank})
+		cols := make([]*ingest.Collect, bank.Len())
+		for i := range cols {
+			cols[i] = ingest.NewCollect(i, 0)
+			pipe.Register(cols[i])
 		}
-		for trial := 0; trial < 8; trial++ {
-			pipe := ingest.New(ingest.Config{Bank: bank, Normalized: normalized})
-			cols := make([]*ingest.Collect, bank.Len())
-			for i := range cols {
-				cols[i] = ingest.NewCollect(i, 0)
-				pipe.Register(cols[i])
+		feedPartition(pipe, stream, randomCuts(rng, len(stream), 1+rng.Intn(20)))
+		for i, col := range cols {
+			got := col.Corr()
+			if len(got) != len(want[i]) {
+				t.Fatalf("trial %d template %d: %d lags, want %d", trial, i, len(got), len(want[i]))
 			}
-			feedPartition(pipe, stream, randomCuts(rng, len(stream), 1+rng.Intn(20)))
-			for i, col := range cols {
-				got := col.Corr()
-				if len(got) != len(want[i]) {
-					t.Fatalf("normalized=%v trial %d template %d: %d lags, want %d",
-						normalized, trial, i, len(got), len(want[i]))
-				}
-				for j := range got {
-					if got[j] != want[i][j] && !(math.IsNaN(got[j]) && math.IsNaN(want[i][j])) {
-						t.Fatalf("normalized=%v trial %d template %d lag %d: %g != %g",
-							normalized, trial, i, j, got[j], want[i][j])
-					}
+			for j := range got {
+				if got[j] != want[i][j] {
+					t.Fatalf("trial %d template %d lag %d: %g != %g", trial, i, j, got[j], want[i][j])
 				}
 			}
 		}
@@ -108,14 +112,13 @@ func TestPipelinePrefilterMatchesBandLimit(t *testing.T) {
 	bank := testBank(fs)
 	stream := noiseStream(25000, 3)
 	filtered := sig.BandLimit(stream, lo, hi, fs)
-	want := bank.NormalizedCrossCorrelateAll(filtered)
+	want := oneShot(bank, filtered)
 
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 6; trial++ {
 		pipe := ingest.New(ingest.Config{
-			Bank:       bank,
-			Normalized: true,
-			Prefilter:  sig.BandLimitFIR(lo, hi, fs),
+			Bank:      bank,
+			Prefilter: sig.BandLimitFIR(lo, hi, fs),
 		})
 		col := ingest.NewCollect(0, 0)
 		tap := &chunkTap{}
@@ -158,7 +161,7 @@ func TestPipelineSharedScanCount(t *testing.T) {
 	stream := noiseStream(40000, 5)
 
 	countScan := func(consumers int) uint64 {
-		pipe := ingest.New(ingest.Config{Bank: bank, Normalized: true})
+		pipe := ingest.New(ingest.Config{Bank: bank})
 		for i := 0; i < consumers; i++ {
 			pipe.Register(ingest.NewArgMax(i % bank.Len()))
 		}
@@ -189,6 +192,110 @@ func TestPipelineSharedScanCount(t *testing.T) {
 	}
 }
 
+// TestPipelineSharedMatchesIndependentScans is the receiver-shaped check
+// of the shared scan: a 10 s stream carrying two ranging preambles, a
+// baseline chirp and a calibration chirp goes once through one pipeline
+// feeding detection, the calibration argmax and a collector for
+// BeepBeep/CAT, and once through independent per-consumer scans (the
+// detector's own session, a calibration-only pipeline and the baselines'
+// one-shot Arrival). Both shapes must agree on every detection, the
+// argmax and both arrivals, while the shared scan pays one forward
+// transform per block of its bank and the independent scans several
+// times that.
+func TestPipelineSharedMatchesIndependentScans(t *testing.T) {
+	p := sig.DefaultParams()
+	fs := p.SampleRate
+	total := int(10 * fs)
+	stream := noiseStream(total, 17)
+	for i := range stream {
+		stream[i] *= 0.05
+	}
+	add := func(wave []float64, at int, amp float64) {
+		for i, v := range wave {
+			stream[at+i] += amp * v
+		}
+	}
+	pre := sig.SharedPreamble(p)
+	chirp := sig.LinearChirp(p.BandLowHz, p.BandHighHz, p.PreambleLen(), fs)
+	cal := p.CalibrationSignal(0)
+	add(pre, 50_000, 0.9)
+	add(pre, 250_000, 0.7)
+	add(chirp, 150_000, 0.8)
+	add(cal, 350_000, 0.8)
+
+	const chunk = 4096
+	feed := func(pipe *ingest.Pipeline) {
+		for off := 0; off < total; off += chunk {
+			pipe.Push(stream[off:min(off+chunk, total)])
+		}
+		pipe.Close()
+	}
+	// Detection runs unfiltered on both sides so every consumer sees the
+	// same raw stream.
+	det := ranging.NewDetector(p, ranging.DetectorConfig{DisablePrefilter: true})
+	bb := ranging.NewBeepBeep(chirp)
+	cat := ranging.NewCAT(chirp, fs, p.BandHighHz-p.BandLowHz)
+
+	t0 := dsp.BankForwardTransforms()
+	sd := det.Stream()
+	for off := 0; off < total; off += chunk {
+		sd.Feed(stream[off:min(off+chunk, total)])
+	}
+	indepDets := sd.Flush()
+	calPipe := ingest.New(ingest.Config{Bank: dsp.NewMatcherBank(dsp.NewMatcher(cal))})
+	calMax := ingest.NewArgMax(0)
+	calPipe.Register(calMax)
+	feed(calPipe)
+	indepCal, _ := calMax.Best()
+	indepBB, okBB := bb.Arrival(stream)
+	indepCAT, okCAT := cat.Arrival(stream)
+	indepXF := dsp.BankForwardTransforms() - t0
+
+	bank := dsp.NewMatcherBank(dsp.NewMatcher(pre), dsp.NewMatcher(chirp), dsp.NewMatcher(cal))
+	t0 = dsp.BankForwardTransforms()
+	pipe := ingest.New(ingest.Config{Bank: bank})
+	dc := det.Consumer(0)
+	col := ingest.NewCollect(1, total)
+	defer col.Release()
+	am := ingest.NewArgMax(2)
+	pipe.Register(dc)
+	pipe.Register(col)
+	pipe.Register(am)
+	feed(pipe)
+	sharedXF := dsp.BankForwardTransforms() - t0
+
+	sharedDets := dc.Detections()
+	if len(indepDets) != 2 || len(sharedDets) != len(indepDets) {
+		t.Fatalf("detections: %d independent, %d shared, want 2 each", len(indepDets), len(sharedDets))
+	}
+	for i := range indepDets {
+		if sharedDets[i].CoarseIndex != indepDets[i].CoarseIndex {
+			t.Errorf("detection %d at %d shared, %d independent", i, sharedDets[i].CoarseIndex, indepDets[i].CoarseIndex)
+		}
+	}
+	if idx, _ := am.Best(); idx != indepCal || idx < 0 {
+		t.Errorf("calibration argmax %d shared, %d independent", idx, indepCal)
+	}
+	if idx, ok := bb.ArrivalFromCorr(col.Corr()); !ok || !okBB || idx != indepBB {
+		t.Errorf("BeepBeep arrival %g (ok %v) shared, %g (ok %v) independent", idx, ok, indepBB, okBB)
+	}
+	if idx, ok := cat.ArrivalFromCorr(col.Corr(), stream); !ok || !okCAT || idx != indepCAT {
+		t.Errorf("CAT arrival %g (ok %v) shared, %g (ok %v) independent", idx, ok, indepCAT, okCAT)
+	}
+
+	// The shared scan costs what a bare session over the bank costs, and
+	// the independent scans cost more than twice that.
+	t0 = dsp.BankForwardTransforms()
+	oneShot(bank, stream)
+	if bare := dsp.BankForwardTransforms() - t0; sharedXF != bare {
+		t.Errorf("shared pipeline ran %d forward transforms, a bare scan %d", sharedXF, bare)
+	}
+	if indepXF <= 2*sharedXF {
+		t.Errorf("independent scans ran %d forward transforms, shared %d", indepXF, sharedXF)
+	}
+	t.Logf("forward transforms: %d shared, %d independent", sharedXF, indepXF)
+}
+
 // TestPipelineSteadyStateAllocs: after warmup, pushing buffers through a
 // fully loaded pipeline (prefiltered detection + argmax + reserved
 // collector + deadline meter) allocates nothing.
@@ -204,7 +311,6 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	const chunks = 256
 	pipe := ingest.New(ingest.Config{
 		Bank:       bank,
-		Normalized: true,
 		SampleRate: fs,
 		Prefilter:  sig.BandLimitFIR(1000, 5000, fs),
 		Meter:      ingest.NewMeter(1.0),

@@ -208,7 +208,7 @@ func FuzzPrefilter(f *testing.F) {
 		}
 
 		run := func(cuts []int) ([]float64, []float64) {
-			pipe := ingest.New(ingest.Config{Bank: bank, Normalized: true, Prefilter: fir})
+			pipe := ingest.New(ingest.Config{Bank: bank, Prefilter: fir})
 			col := ingest.NewCollect(0, 0)
 			tap := &chunkTap{}
 			pipe.Register(col)

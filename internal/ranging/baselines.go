@@ -34,6 +34,14 @@ func (tm *templateMatcher) get(template []float64) *dsp.MatcherBank {
 	return tm.bank
 }
 
+// scanOnce correlates a single-template bank against a whole stream held
+// in memory: the lags of one Feed followed by the tail lags of Flush.
+func scanOnce(bank *dsp.MatcherBank, stream []float64) []float64 {
+	s := bank.Stream()
+	corr := append([]float64(nil), s.Feed(stream)[0]...)
+	return append(corr, s.Flush()[0]...)
+}
+
 // BeepBeep is the auto-correlation chirp ranging baseline (Peng et al.,
 // SenSys'07), adapted as in §3.1: a linear chirp template, window-power
 // signal detection and correlation peak picking with a peak-selection rule
@@ -59,12 +67,7 @@ func (b *BeepBeep) Arrival(stream []float64) (idx float64, ok bool) {
 	if bank == nil {
 		return 0, false
 	}
-	corr := bank.NormalizedCrossCorrelateAllPooled(stream)[0]
-	if corr == nil {
-		return 0, false
-	}
-	defer dsp.PutF64(corr)
-	return b.ArrivalFromCorr(corr)
+	return b.ArrivalFromCorr(scanOnce(bank, stream))
 }
 
 // Bank returns the single-template matcher bank for the current Template
@@ -151,12 +154,7 @@ func (c *CAT) Arrival(stream []float64) (idx float64, ok bool) {
 	if bank == nil {
 		return 0, false
 	}
-	corr := bank.NormalizedCrossCorrelateAllPooled(stream)[0]
-	if corr == nil {
-		return 0, false
-	}
-	defer dsp.PutF64(corr)
-	return c.ArrivalFromCorr(corr, stream)
+	return c.ArrivalFromCorr(scanOnce(bank, stream), stream)
 }
 
 // Bank returns the single-template matcher bank for the current Sweep

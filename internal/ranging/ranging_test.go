@@ -72,10 +72,10 @@ func TestDetectorLowSNR(t *testing.T) {
 	}
 }
 
-// TestDetectorPeakInvariance: the Matcher-backed detector must find its
-// candidate peaks at exactly the indices the one-shot reference
-// correlation produces — the precomputed-spectrum path may differ from
-// the reference in low-order bits but never in peak placement.
+// TestDetectorPeakInvariance: the detector's low-latency streaming scan
+// must find its candidate peaks at exactly the indices a reference scan
+// on the throughput block grid produces — the two grids may differ in
+// low-order bits but never in peak placement.
 func TestDetectorPeakInvariance(t *testing.T) {
 	p := testParams()
 	for seed := int64(40); seed < 45; seed++ {
@@ -83,7 +83,12 @@ func TestDetectorPeakInvariance(t *testing.T) {
 		stream := makeStream(t, p, at, 70000, 0.8, 0.05, seed)
 		d := NewDetector(p, DetectorConfig{})
 		filtered := sig.BandLimit(stream, p.BandLowHz, p.BandHighHz, p.SampleRate)
-		ref := dsp.NormalizedCrossCorrelate(filtered, p.Preamble())
+		rs := dsp.NewMatcherBank(dsp.NewMatcher(p.Preamble())).Stream()
+		ref := append([]float64(nil), rs.Feed(filtered)[0]...)
+		ref = append(ref, rs.Flush()[0]...)
+		if len(ref) != len(filtered)-len(p.Preamble())+1 {
+			t.Fatalf("reference scan has %d lags", len(ref))
+		}
 		refPeaks := dsp.FindPeaks(ref, 0.15)
 		refIdx := make(map[int]bool, len(refPeaks))
 		for _, pk := range refPeaks {

@@ -99,7 +99,6 @@ func newStreamDetector(p sig.Params, cfg DetectorConfig, matcher *dsp.Matcher, m
 	sd := newStreamConsumer(p, cfg, 0)
 	icfg := ingest.Config{
 		Bank:       dsp.NewMatcherBankLowLatency(matcher),
-		Normalized: true,
 		SampleRate: p.SampleRate,
 		Meter:      meter,
 	}

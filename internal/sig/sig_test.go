@@ -91,7 +91,11 @@ func TestBaseSymbolIsRealAndBandLimited(t *testing.T) {
 		t.Fatalf("symbol length %d", len(sym))
 	}
 	// Spectrum must be confined to the occupied band.
-	spec := dsp.FFTReal(sym)
+	spec := make([]complex128, p.SymbolLen)
+	for i, v := range sym {
+		spec[i] = complex(v, 0)
+	}
+	dsp.NewPlan(p.SymbolLen).Forward(spec)
 	lo, hi := p.BinRange()
 	var inBand, outBand float64
 	for k := 1; k < p.SymbolLen/2; k++ {
