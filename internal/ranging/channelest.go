@@ -68,7 +68,9 @@ func (ce *ChannelEstimator) SetBandWindow(w dsp.Window) {
 // profile index g maps to arrival sample coarseIdx − GuardTaps + g.
 //
 // The LS estimate is Ĥ(k) = ¼ Σᵢ Yᵢ(k) / (PNᵢ·X(k)) over the occupied
-// band, then |IFFT| back to the delay domain.
+// band, then |IFFT| back to the delay domain. The DFT is linear, so
+// Σᵢ PNᵢ·Yᵢ = FFT(Σᵢ PNᵢ·yᵢ): the PN-signed symbols are summed in the
+// time domain and transformed once (PN ∈ {−1, +1}, so 1/PN == PN).
 func (ce *ChannelEstimator) Estimate(stream []float64, coarseIdx int) ([]float64, error) {
 	p := ce.params
 	start := coarseIdx - ce.GuardTaps
@@ -78,28 +80,27 @@ func (ce *ChannelEstimator) Estimate(stream []float64, coarseIdx int) ([]float64
 	if start+p.PreambleLen() > len(stream) {
 		return nil, fmt.Errorf("ranging: preamble at %d overruns stream of %d samples", coarseIdx, len(stream))
 	}
-	for i := range ce.acc {
-		ce.acc[i] = 0
+	for i := range ce.scratch {
+		ce.scratch[i] = 0
 	}
 	for s := 0; s < p.NumSymbols; s++ {
 		a, b := p.SymbolAt(s)
-		seg := stream[start+a : start+b]
-		for i, v := range seg {
-			ce.scratch[i] = complex(v, 0)
+		pn := p.PN[s]
+		for i, v := range stream[start+a : start+b] {
+			ce.scratch[i] += complex(pn*v, 0)
 		}
-		ce.plan.Forward(ce.scratch)
-		inv := complex(p.PN[s], 0) // PN ∈ {−1, +1} so 1/PN == PN
-		for k := ce.binLo; k < ce.binHi; k++ {
-			x := ce.baseX[k]
-			if x == 0 {
-				continue
-			}
-			ce.acc[k] += ce.scratch[k] * inv / x
-		}
+	}
+	ce.plan.Forward(ce.scratch)
+	for i := range ce.acc {
+		ce.acc[i] = 0
 	}
 	scale := 1 / float64(p.NumSymbols)
 	for k := ce.binLo; k < ce.binHi; k++ {
-		ce.acc[k] *= complex(scale*ce.win[k-ce.binLo], 0)
+		x := ce.baseX[k]
+		if x == 0 {
+			continue
+		}
+		ce.acc[k] = ce.scratch[k] / x * complex(scale*ce.win[k-ce.binLo], 0)
 		// Conjugate-symmetric counterpart for a real impulse response.
 		ce.acc[p.SymbolLen-k] = cmplx.Conj(ce.acc[k])
 	}
@@ -109,10 +110,6 @@ func (ce *ChannelEstimator) Estimate(stream []float64, coarseIdx int) ([]float64
 		profile[i] = cmplx.Abs(v)
 	}
 	dsp.Normalize(profile)
-	// Clear accumulator for the next call (Inverse overwrote it).
-	for i := range ce.acc {
-		ce.acc[i] = 0
-	}
 	return profile, nil
 }
 

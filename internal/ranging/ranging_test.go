@@ -521,25 +521,6 @@ func BenchmarkDetect2s(b *testing.B) {
 	}
 }
 
-func BenchmarkChannelEstimate(b *testing.B) {
-	p := testParams()
-	r := rand.New(rand.NewSource(2))
-	stream := make([]float64, 30000)
-	for i := range stream {
-		stream[i] = 0.01 * r.NormFloat64()
-	}
-	pre := p.Preamble()
-	copy(stream[5000:], pre)
-	ce := NewChannelEstimator(p)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ce.Estimate(stream, 5000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestBaselinesEmptyTemplateReturnsFalse(t *testing.T) {
 	// Regression: the bank-backed correlation path must keep the old
 	// graceful ok=false for an empty (or emptied) template rather than

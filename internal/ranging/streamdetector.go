@@ -156,6 +156,17 @@ func (s *StreamDetector) Flush() []Detection {
 	return s.final
 }
 
+// Decided returns how many correlation lags the session has decided:
+// every lag below it has been tested for a candidate peak (one lag of
+// lookahead trails the lags emitted so far). After the stream ends all
+// lags are decided.
+func (s *StreamDetector) Decided() int {
+	if s.havePend {
+		return s.seen - 1
+	}
+	return s.seen
+}
+
 // Detections returns the detection set as of the audio consumed so far,
 // sorted by index. Entries are provisional until the stream ends: a
 // stronger peak within MinSeparation arriving in a later chunk replaces

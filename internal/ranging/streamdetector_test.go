@@ -173,6 +173,53 @@ func TestStreamDetectorReplacesProvisional(t *testing.T) {
 	sameDetections(t, "post-flush", sd.Detections(), want)
 }
 
+// TestStreamDetectorDecided covers the finality contract callers build on
+// Decided: it never decreases, never passes the samples fed, and reaches
+// every lag at Flush. A provisional detection is displaced only by a
+// stronger peak within MinSeparation after it, so once the decided lags
+// pass its index by two MinSeparations (the displacer and the peak that
+// could in turn suppress the displacer) it is in the final set — while a
+// detection that is merely decided can still be replaced.
+func TestStreamDetectorDecided(t *testing.T) {
+	p := testParams()
+	cfg := DetectorConfig{MinSeparation: 15000}
+	d := NewDetector(p, cfg)
+	const atWeak, atStrong = 16000, 26000
+	stream := makeStream(t, p, atWeak, 80000, 0.5, 0.02, 64)
+	for i, v := range sig.SharedPreamble(p) {
+		stream[atStrong+i] += v
+	}
+	want := d.Detect(stream)
+	final := func(idx int) bool {
+		return slices.ContainsFunc(want, func(w Detection) bool { return w.CoarseIndex == idx })
+	}
+	sd := d.Stream()
+	prev, displaced := 0, false
+	for off := 0; off < len(stream); off += 2048 {
+		sd.Feed(stream[off:min(off+2048, len(stream))])
+		dec := sd.Decided()
+		if dec < prev || dec > sd.Fed() {
+			t.Fatalf("after %d samples: Decided %d (was %d)", sd.Fed(), dec, prev)
+		}
+		prev = dec
+		for _, det := range sd.Detections() {
+			switch {
+			case det.CoarseIndex+2*cfg.MinSeparation <= dec && !final(det.CoarseIndex):
+				t.Fatalf("after %d samples: detection at %d, decided %d, is not final", sd.Fed(), det.CoarseIndex, dec)
+			case det.CoarseIndex < dec && !final(det.CoarseIndex):
+				displaced = true
+			}
+		}
+	}
+	if !displaced {
+		t.Error("the weak preamble was never a decided-but-provisional detection")
+	}
+	sameDetections(t, "final", sd.Flush(), want)
+	if got, lags := sd.Decided(), len(stream)-p.PreambleLen()+1; got != lags {
+		t.Errorf("Decided after Flush = %d, want all %d lags", got, lags)
+	}
+}
+
 // TestStreamDetectorFedAndPanic covers the bookkeeping contract.
 func TestStreamDetectorFedAndPanic(t *testing.T) {
 	p := testParams()

@@ -73,8 +73,13 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, body)
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a request body. A session spec at MaxDivers with
+// every link listed is a few kilobytes.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes one JSON value from a body of at most maxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return uwpos.ConfigError{Field: "body", Reason: err.Error()}
@@ -91,7 +96,7 @@ type createResponse struct {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec SessionSpec
-	if err := decodeBody(r, &spec); err != nil {
+	if err := decodeBody(w, r, &spec); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -113,7 +118,7 @@ func (s *Server) handleRound(w http.ResponseWriter, r *http.Request) {
 	}
 	req := RoundRequest{}
 	if r.ContentLength != 0 {
-		if err := decodeBody(r, &req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			writeError(w, err)
 			return
 		}

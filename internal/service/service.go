@@ -412,6 +412,29 @@ func (s *Server) Stats() Statz {
 	return st
 }
 
+// validateSpec bounds a session spec before anything is built from it:
+// the group size, finite diver coordinates and aim, and the fault links.
+func validateSpec(spec SessionSpec) error {
+	n := len(spec.Divers)
+	if n > MaxDivers {
+		return uwpos.ConfigError{Field: "Divers", Reason: fmt.Sprintf("%d divers, at most %d", n, MaxDivers)}
+	}
+	for i, d := range spec.Divers {
+		if !finite(d.X) || !finite(d.Y) || !finite(d.Z) {
+			return uwpos.ConfigError{Field: fmt.Sprintf("Divers[%d]", i), Reason: "coordinates must be finite"}
+		}
+	}
+	if !finite(spec.PointingErrorRad) {
+		return uwpos.ConfigError{Field: "PointingErrorRad", Reason: "must be finite"}
+	}
+	if err := validateLinks("OccludedLinks", spec.OccludedLinks, n); err != nil {
+		return err
+	}
+	return validateLinks("DroppedLinks", spec.DroppedLinks, n)
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // validateLinks checks a fault-link list against the device count.
 func validateLinks(field string, links [][2]int, n int) error {
 	for _, p := range links {

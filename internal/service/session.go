@@ -28,7 +28,7 @@ type SessionSpec struct {
 	// Env names a preset environment: pool, dock, viewpoint, boathouse.
 	Env string `json:"env"`
 	// Divers place the group; index 0 is the leader, index 1 the pointed
-	// diver. At least 3.
+	// diver. At least 3 and at most MaxDivers, with finite coordinates.
 	Divers []DiverSpec `json:"divers"`
 	// Seed drives the session's simulation randomness (default 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -39,6 +39,12 @@ type SessionSpec struct {
 	// DroppedLinks lists device pairs that cannot hear each other.
 	DroppedLinks [][2]int `json:"dropped_links,omitempty"`
 }
+
+// MaxDivers caps SessionSpec.Divers. Every round renders all N·(N−1)
+// device links at full audio rate, so cost grows as N², and the report
+// phase splits the 1–5 kHz band into N FSK sub-bands whose tone spacing
+// must stay above the 100 bps bit rate, which holds up to N = 13.
+const MaxDivers = 13
 
 // DiverSpec places one device.
 type DiverSpec struct {
@@ -76,13 +82,10 @@ func newSession(spec SessionSpec, srv *Server) (*Session, error) {
 	if err != nil {
 		return nil, uwpos.ConfigError{Field: "Env", Reason: err.Error()}
 	}
+	if err := validateSpec(spec); err != nil {
+		return nil, err
+	}
 	n := len(spec.Divers)
-	if err := validateLinks("OccludedLinks", spec.OccludedLinks, n); err != nil {
-		return nil, err
-	}
-	if err := validateLinks("DroppedLinks", spec.DroppedLinks, n); err != nil {
-		return nil, err
-	}
 	divers := make([]uwpos.Diver, n)
 	for i, d := range spec.Divers {
 		divers[i] = uwpos.Diver{Pos: uwpos.Vec3{X: d.X, Y: d.Y, Z: d.Z}, WatchGauge: d.Watch}

@@ -149,6 +149,10 @@ type simDevice struct {
 	txIndex int
 	// syncSource records what the device synchronized to.
 	sync protocol.SyncSource
+	// scanEnd is the mic index where the final receiver scan stops: the
+	// end of the ranging phase once the device knows its local zero, the
+	// whole stream otherwise.
+	scanEnd int
 	// heard collects refined arrivals (and announced sync sources) per
 	// sender id.
 	heard map[int]heardMsg

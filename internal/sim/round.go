@@ -56,9 +56,7 @@ type RoundResult struct {
 // cancelled the execution (and every RNG draw) is identical to a run
 // without a deadline, keeping trial results byte-reproducible.
 func (nw *Network) RunRound(ctx context.Context) (*RoundResult, error) {
-	n := nw.N()
-	dur := nw.streamDuration()
-	if err := nw.setupDevices(dur); err != nil {
+	if err := nw.setupDevices(nw.streamDuration()); err != nil {
 		return nil, err
 	}
 	// Audio streams are the round's dominant allocation; everything the
@@ -70,35 +68,10 @@ func (nw *Network) RunRound(ctx context.Context) (*RoundResult, error) {
 	if err := nw.calibrateAll(ctx); err != nil {
 		return nil, err
 	}
-
-	// Leader query.
-	leader := nw.devices[0]
-	queryIdx := int(queryAt * nw.params.SampleRate)
-	queryWave := nw.messageWave(0, 0)
-	leader.txIndex = queryIdx
-	leader.stack.WriteSpeaker(queryIdx, queryWave)
-	nw.renderTransmission(leader, queryIdx, queryWave)
-	releaseWave(queryWave)
-
-	// Slot-order scheduling; devices that hear nothing yet retry in a
-	// wrap pass (§2.3's "not all devices are in leader's range").
-	var deferred []*simDevice
-	for i := 1; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !nw.scheduleReply(nw.devices[i]) {
-			deferred = append(deferred, nw.devices[i])
-		}
-	}
-	var silent []int
-	for _, d := range deferred {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !nw.scheduleReply(d) {
-			silent = append(silent, d.id)
-		}
+	nw.transmitQuery()
+	silent, err := nw.scheduleReplies(ctx, nw.scheduleReply)
+	if err != nil {
+		return nil, err
 	}
 
 	// Final receiver processing on complete streams.
@@ -130,6 +103,45 @@ func (nw *Network) RunRound(ctx context.Context) (*RoundResult, error) {
 	res.D, res.W = table.Distances(nw.SoundSpeedAssumed())
 	res.Latency = nw.measureLatency()
 	return res, nil
+}
+
+// transmitQuery plays the leader's query and renders it to every device.
+// The leader's local zero is its own query's arrival at its microphone.
+func (nw *Network) transmitQuery() {
+	leader := nw.devices[0]
+	queryIdx := int(queryAt * nw.params.SampleRate)
+	queryWave := nw.messageWave(0, 0)
+	leader.txIndex = queryIdx
+	leader.scanEnd = nw.rangingEnd(float64(queryIdx - leader.stack.IndexOffset()))
+	leader.stack.WriteSpeaker(queryIdx, queryWave)
+	nw.renderTransmission(leader, queryIdx, queryWave)
+	releaseWave(queryWave)
+}
+
+// scheduleReplies runs reply on every non-leader device in slot order;
+// devices that hear nothing yet retry in a wrap pass (§2.3's "not all
+// devices are in leader's range"). It returns the devices that stayed
+// silent. reply is scheduleReply in a round.
+func (nw *Network) scheduleReplies(ctx context.Context, reply func(*simDevice) bool) ([]int, error) {
+	var deferred []*simDevice
+	for _, d := range nw.devices[1:] {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if !reply(d) {
+			deferred = append(deferred, d)
+		}
+	}
+	var silent []int
+	for _, d := range deferred {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if !reply(d) {
+			silent = append(silent, d.id)
+		}
+	}
+	return silent, nil
 }
 
 func (nw *Network) streamDuration() float64 {
@@ -183,6 +195,7 @@ func (nw *Network) setupDevices(dur float64) error {
 			}),
 			sensor:  sensor,
 			txIndex: -1,
+			scanEnd: stack.StreamLen(),
 			heard:   make(map[int]heardMsg),
 		})
 	}
@@ -262,13 +275,14 @@ func (nw *Network) scheduleReply(d *simDevice) bool {
 	if d.txIndex >= 0 {
 		return true
 	}
-	first, senderID, ok := nw.firstDetectedMessage(d)
+	first, _, ok := nw.firstDetectedMessage(d)
 	if !ok {
 		return false
 	}
-	offset, src := nw.proto.TransmitOffset(d.id, senderID)
+	offset, src := nw.proto.TransmitOffset(d.id, first.sender)
 	d.sync = src
-	m2 := int(math.Round(first.ArrivalIdx))
+	d.scanEnd = nw.rangingEnd(first.toa.ArrivalIdx - nw.slotTime(src.From)*nw.params.SampleRate)
+	m2 := int(math.Round(first.toa.ArrivalIdx))
 	txIdx := d.stack.ReplyIndex(m2, offset)
 	wave := nw.messageWave(d.id, src.From)
 	d.txIndex = txIdx
@@ -278,31 +292,77 @@ func (nw *Network) scheduleReply(d *simDevice) bool {
 	return true
 }
 
+// slotTime is the protocol slot of device id in the clock zeroed on the
+// leader's message; the leader's own message defines that zero.
+func (nw *Network) slotTime(id int) float64 {
+	if id == 0 {
+		return 0
+	}
+	return nw.proto.SlotTime(id)
+}
+
+// rangingEnd bounds the ranging phase on a device's mic timeline, given
+// its local zero (the leader message's arrival, or the sync arrival minus
+// the sync source's slot) as a mic index: the protocol's worst-case last
+// packet ends RoundTime(false) + TPacket + TGuard after the zero, and one
+// more preamble lets the detector decide every lag of a packet starting
+// before that. Only the report phase and noise lie beyond it.
+func (nw *Network) rangingEnd(zero float64) int {
+	p := nw.proto
+	end := zero + (p.RoundTime(false)+p.TPacket+p.TGuard)*nw.params.SampleRate
+	return int(math.Ceil(end)) + nw.params.PreambleLen()
+}
+
 // heardMsg pairs an arrival with the sync-source ID the sender announced.
 type heardMsg struct {
 	toa      ranging.TOAResult
 	syncFrom int // announced sync source; −1 when the field was undecodable
 }
 
-// firstDetectedMessage runs the receiver pipeline and returns the earliest
-// foreign message currently in the stream.
-func (nw *Network) firstDetectedMessage(d *simDevice) (ranging.TOAResult, int, bool) {
-	results := nw.detectMessages(d)
-	bestIdx := -1
-	bestArrival := math.Inf(1)
-	for k, r := range results {
-		if r.sender == d.id {
-			continue
+// firstDetectedMessage returns the earliest foreign message in d's
+// current stream — the one a diver replies to (§2.3) — and how many
+// samples its detection session consumed. One StreamDetector session is
+// fed buffer by buffer, and its detections are refined and decoded in
+// index order as each becomes final. A detection is final once the
+// decided lags reach its coarse index plus one preamble (two
+// MinSeparations): a peak displacing it lies within MinSeparation after
+// it, a peak suppressing that one within MinSeparation after the
+// displacer, and packets from different senders arrive at least TPacket
+// (more than a preamble) apart, so no longer dedup chain forms. The scan
+// stops at the first detection that decodes to a foreign sender. A
+// refined arrival lies within [c−GuardTaps, c+SymbolLen) of its coarse
+// index c and detections are at least MinSeparation apart, so index
+// order is arrival order: the result is the minimum-arrival foreign
+// message of a full-stream scan. When the stream holds none, the
+// session's Flush set is final and nothing is scanned twice.
+func (nw *Network) firstDetectedMessage(d *simDevice) (msg detected, fed int, ok bool) {
+	sd := d.ranger.Detector.StreamWith(nw.cfg.IngestMeter)
+	pre := nw.params.PreambleLen()
+	tried := -1 // coarse index of the last detection refined and decoded
+	next := func(dets []ranging.Detection, decided int) (detected, bool) {
+		for _, det := range dets {
+			if det.CoarseIndex <= tried {
+				continue
+			}
+			if det.CoarseIndex+pre > decided {
+				return detected{}, false // not final yet
+			}
+			tried = det.CoarseIndex
+			if m, ok := nw.decodeMessage(d, det); ok && m.sender != d.id {
+				return m, true
+			}
 		}
-		if r.toa.ArrivalIdx < bestArrival {
-			bestArrival = r.toa.ArrivalIdx
-			bestIdx = k
+		return detected{}, false
+	}
+	for chunk := range d.stack.MicChunks(0, nw.ingestChunk()) {
+		sd.Feed(chunk)
+		if m, ok := next(sd.Detections(), sd.Decided()); ok {
+			sd.Flush() // ends the session on what was fed, returning its pooled scratch
+			return m, sd.Fed(), true
 		}
 	}
-	if bestIdx < 0 {
-		return ranging.TOAResult{}, 0, false
-	}
-	return results[bestIdx].toa, results[bestIdx].sender, true
+	m, ok := next(sd.Flush(), math.MaxInt)
+	return m, sd.Fed(), ok
 }
 
 type detected struct {
@@ -328,62 +388,82 @@ func (nw *Network) ingestChunk() int {
 	return detectChunk
 }
 
-// detectMessages runs detection + refinement + MFSK decoding (sender ID,
-// then sync-source ID) over the device's current streams. Detection runs
-// on the streaming pipeline exactly as a phone would run it — buffer by
-// buffer as the OS delivers audio; refinement then revisits the complete
-// streams (channel estimation needs the raw samples around each
-// detection anyway).
-func (nw *Network) detectMessages(d *simDevice) []detected {
-	mic0 := d.stack.Mic(0)
-	var mic1 []float64
-	if d.stack.NumMics() > 1 {
-		mic1 = d.stack.Mic(1)
-	}
+// detectMessages runs detection over mic 0's samples [0, end) and
+// decodes every detection with decodeMessage. Detection runs on the
+// streaming pipeline exactly as a phone would run it — buffer by buffer
+// as the OS delivers audio; decoding then revisits the complete streams
+// (channel estimation needs the raw samples around each detection
+// anyway).
+func (nw *Network) detectMessages(d *simDevice, end int) []detected {
 	sd := d.ranger.Detector.StreamWith(nw.cfg.IngestMeter)
-	for chunk := range d.stack.MicChunks(0, nw.ingestChunk()) {
+	for chunk := range d.stack.MicChunksRange(0, 0, end, nw.ingestChunk()) {
 		sd.Feed(chunk)
 	}
-	toas, err := d.ranger.Refine(mic0, mic1, sd.Flush())
-	if err != nil {
-		return nil
-	}
-	mfsk := sig.NewMFSK(nw.N(), nw.params.SampleRate)
-	half := nw.idLen / 2
 	var out []detected
-	for _, toa := range toas {
-		idStart := toa.Detection.CoarseIndex + nw.params.PreambleLen()
-		idEnd := idStart + nw.idLen
-		if idEnd > len(mic0) {
-			continue
+	for _, det := range sd.Flush() {
+		if m, ok := nw.decodeMessage(d, det); ok {
+			out = append(out, m)
 		}
-		id, conf := mfsk.DecodeID(mic0[idStart : idStart+half])
-		if conf < 1.2 {
-			continue // ambiguous ID: treat as lost
-		}
-		syncID, sconf := mfsk.DecodeID(mic0[idStart+half : idEnd])
-		if sconf < 1.2 {
-			syncID = -1
-		}
-		out = append(out, detected{toa: toa, sender: id, syncFrom: syncID})
 	}
 	return out
 }
 
-// processArrivals populates d.heard from the final streams.
+// decodeMessage refines one detection into a direct-path arrival (LS
+// channel estimate on both mics, joint search) and decodes the packet's
+// two MFSK fields from mic 0: the sender ID, then the sync-source ID.
+// ok is false — the message counts as lost — when the arrival cannot be
+// refined, the ID section overruns the stream, or the sender ID is
+// ambiguous; an ambiguous sync-source ID decodes as −1.
+func (nw *Network) decodeMessage(d *simDevice, det ranging.Detection) (detected, bool) {
+	mic0 := d.stack.Mic(0)
+	idStart := det.CoarseIndex + nw.params.PreambleLen()
+	idEnd := idStart + nw.idLen
+	if idEnd > len(mic0) {
+		return detected{}, false
+	}
+	var mic1 []float64
+	if d.stack.NumMics() > 1 {
+		mic1 = d.stack.Mic(1)
+	}
+	toa, err := d.ranger.RefineArrival(mic0, mic1, det)
+	if err != nil {
+		return detected{}, false
+	}
+	mfsk := sig.NewMFSK(nw.N(), nw.params.SampleRate)
+	half := nw.idLen / 2
+	id, conf := mfsk.DecodeID(mic0[idStart : idStart+half])
+	if conf < 1.2 {
+		return detected{}, false // ambiguous ID: treat as lost
+	}
+	syncID, sconf := mfsk.DecodeID(mic0[idStart+half : idEnd])
+	if sconf < 1.2 {
+		syncID = -1
+	}
+	return detected{toa: toa, sender: id, syncFrom: syncID}, true
+}
+
+// processArrivals populates d.heard from the final streams. Only the
+// ranging phase is scanned: d.scanEnd is the protocol's bound on the
+// last ranging packet (see rangingEnd), or the whole stream for a device
+// that never synced.
 func (nw *Network) processArrivals(d *simDevice) error {
-	d.heard = make(map[int]heardMsg)
-	for _, det := range nw.detectMessages(d) {
-		if det.sender == d.id {
+	d.heard = heardFrom(nw.detectMessages(d, d.scanEnd), d.id)
+	return nil
+}
+
+// heardFrom keeps the earliest arrival per foreign sender (an echo or a
+// duplicate detection keeps the direct one).
+func heardFrom(dets []detected, self int) map[int]heardMsg {
+	heard := make(map[int]heardMsg)
+	for _, det := range dets {
+		if det.sender == self {
 			continue
 		}
-		// Keep the earliest arrival per sender (echo or duplicate
-		// detection keeps the direct one).
-		if prev, ok := d.heard[det.sender]; !ok || det.toa.ArrivalIdx < prev.toa.ArrivalIdx {
-			d.heard[det.sender] = heardMsg{toa: det.toa, syncFrom: det.syncFrom}
+		if prev, ok := heard[det.sender]; !ok || det.toa.ArrivalIdx < prev.toa.ArrivalIdx {
+			heard[det.sender] = heardMsg{toa: det.toa, syncFrom: det.syncFrom}
 		}
 	}
-	return nil
+	return heard
 }
 
 // localTime converts a mic-stream index to the device's local seconds.
@@ -404,11 +484,7 @@ func (nw *Network) rebase(d *simDevice) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	slot := 0.0
-	if src != 0 {
-		slot = nw.proto.SlotTime(src)
-	}
-	return nw.localTime(arr.toa.ArrivalIdx) - slot, true
+	return nw.localTime(arr.toa.ArrivalIdx) - nw.slotTime(src), true
 }
 
 // assembleTable builds the leader's timestamp table: its own observations
@@ -507,13 +583,9 @@ func (nw *Network) reportBack(res *RoundResult, table *protocol.Table) error {
 		}
 		// Transmit at the common report slot, local-rebased.
 		syncArr := d.heard[d.sync.From]
-		slot := 0.0
-		if d.sync.From != 0 {
-			slot = nw.proto.SlotTime(d.sync.From)
-		}
 		// All devices report simultaneously in disjoint FSK sub-bands
 		// (§2.4), so the report slot is common.
-		offset := nw.reportAt() - slot
+		offset := nw.reportAt() - nw.slotTime(d.sync.From)
 		txIdx := d.stack.ReplyIndex(int(math.Round(syncArr.toa.ArrivalIdx)), offset)
 		d.stack.WriteSpeaker(txIdx, wave)
 		nw.renderTransmission(d, txIdx, wave)
