@@ -32,7 +32,9 @@ type DetectorConfig struct {
 	// MinSeparation suppresses duplicate detections closer than this many
 	// samples (default: half a preamble).
 	MinSeparation int
-	// MaxCandidates bounds work per stream (default 64).
+	// MaxCandidates bounds validation work (default 64): a candidate is
+	// PN-validated, and so can be selected, only if it ranks among the
+	// MaxCandidates strongest candidates found up to its own index.
 	MaxCandidates int
 	// DisablePrefilter skips the 1–5 kHz band-pass applied before
 	// correlation and validation. The prefilter discards out-of-band

@@ -31,7 +31,10 @@ import (
 //     a chunk boundary is reported exactly once;
 //   - MinSeparation dedup is applied over the whole candidate set each
 //     time, so a provisional detection is replaced when a higher peak
-//     within MinSeparation arrives in a later chunk.
+//     within MinSeparation arrives in a later chunk;
+//   - a candidate is scored (or skipped) when its lag is decided, so
+//     nothing but that dedup can change a decided stretch, and Settled
+//     reports the prefix of the set no later audio can change.
 //
 // A session created by NewStreamDetector or Detector.Stream owns its
 // pipeline: Feed pushes buffers, Flush closes the stream and returns the
@@ -66,10 +69,10 @@ type StreamDetector struct {
 
 	// topVals tracks the MaxCandidates strongest candidate peaks seen so
 	// far (an unordered min-tracked set); only candidates that enter it
-	// are PN-validated eagerly. Any candidate in the final strongest-
-	// MaxCandidates selection was necessarily in this set when it was
-	// discovered, so every selectable candidate carries a real score while
-	// weak candidates skip the (comparatively costly) validation.
+	// are PN-validated, the rest are never selectable. The rule looks
+	// only at earlier peaks, so a candidate's fate is settled when it is
+	// found, as in a real-time receiver, while weak candidates skip the
+	// (comparatively costly) validation.
 	topVals []float64
 
 	flushed bool
@@ -83,6 +86,15 @@ type candidate struct {
 	idx   int
 	corr  float64
 	score float64
+}
+
+// stronger is the selection order: higher correlation first, the earlier
+// index on a tie.
+func (c candidate) stronger(o candidate) bool {
+	if c.corr != o.corr {
+		return c.corr > o.corr
+	}
+	return c.idx < o.idx
 }
 
 // NewStreamDetector builds a chunked detection session for the given
@@ -165,6 +177,36 @@ func (s *StreamDetector) Decided() int {
 		return s.seen - 1
 	}
 	return s.seen
+}
+
+// Settled returns the index below which the detection set is final: no
+// audio that follows can add, drop or change a detection there. A
+// candidate is scored when its lag is decided, so only MinSeparation
+// dedup still acts on decided lags: a selectable candidate's fate turns
+// on its stronger selectable neighbours within MinSeparation, and theirs
+// on their own, so it stays open while that chain of ever-stronger
+// neighbours comes within MinSeparation of an undecided lag, where a new
+// peak could join it. Settled is the lowest open candidate's index, or
+// Decided when none is open; after Flush everything is final.
+func (s *StreamDetector) Settled() int {
+	settled := s.Decided()
+	if s.flushed {
+		return settled
+	}
+	ranked := s.ranked()
+	open := make([]bool, len(ranked))
+	for k, c := range ranked {
+		open[k] = c.idx+s.cfg.MinSeparation > settled
+		for j := 0; j < k && !open[k]; j++ {
+			open[k] = open[j] && abs(ranked[j].idx-c.idx) < s.cfg.MinSeparation
+		}
+	}
+	for k, c := range ranked {
+		if open[k] && c.idx < settled {
+			settled = c.idx
+		}
+	}
+	return settled
 }
 
 // Detections returns the detection set as of the audio consumed so far,
@@ -270,23 +312,25 @@ func (s *StreamDetector) admitTop(x float64) bool {
 	return true
 }
 
-// selectCurrent applies the one-shot selection semantics to the candidate
-// set so far: strongest first, top MaxCandidates, validation threshold,
-// MinSeparation greedy dedup, index-sorted output.
-func (s *StreamDetector) selectCurrent() []Detection {
-	if len(s.cands) == 0 {
-		return nil
-	}
-	cands := append([]candidate(nil), s.cands...)
-	sort.Slice(cands, func(i, j int) bool { return cands[i].corr > cands[j].corr })
-	if len(cands) > s.cfg.MaxCandidates {
-		cands = cands[:s.cfg.MaxCandidates]
-	}
-	var out []Detection
-	for _, c := range cands {
-		if c.score < s.cfg.AutoCorrThreshold || math.IsNaN(c.score) {
-			continue
+// ranked returns the selectable candidates so far (validated, scoring at
+// least AutoCorrThreshold), strongest first.
+func (s *StreamDetector) ranked() []candidate {
+	var out []candidate
+	for _, c := range s.cands {
+		if c.score >= s.cfg.AutoCorrThreshold { // false for NaN
+			out = append(out, c)
 		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].stronger(out[j]) })
+	return out
+}
+
+// selectCurrent applies the one-shot selection semantics to the candidate
+// set so far: selectable candidates strongest first, MinSeparation greedy
+// dedup, index-sorted output.
+func (s *StreamDetector) selectCurrent() []Detection {
+	var out []Detection
+	for _, c := range s.ranked() {
 		dup := false
 		for _, prev := range out {
 			if abs(prev.CoarseIndex-c.idx) < s.cfg.MinSeparation {

@@ -1,6 +1,7 @@
 package ranging
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -173,14 +174,13 @@ func TestStreamDetectorReplacesProvisional(t *testing.T) {
 	sameDetections(t, "post-flush", sd.Detections(), want)
 }
 
-// TestStreamDetectorDecided covers the finality contract callers build on
-// Decided: it never decreases, never passes the samples fed, and reaches
-// every lag at Flush. A provisional detection is displaced only by a
-// stronger peak within MinSeparation after it, so once the decided lags
-// pass its index by two MinSeparations (the displacer and the peak that
-// could in turn suppress the displacer) it is in the final set — while a
-// detection that is merely decided can still be replaced.
-func TestStreamDetectorDecided(t *testing.T) {
+// TestStreamDetectorSettled covers the finality contract callers build
+// on Settled: Decided and Settled never decrease, Settled never passes
+// Decided, and below Settled the current set already equals the final
+// one. A weak preamble is displaced by a stronger one within
+// MinSeparation after its lag is decided, so being decided alone is not
+// final; Settled holds it back until the displacer is known.
+func TestStreamDetectorSettled(t *testing.T) {
 	p := testParams()
 	cfg := DetectorConfig{MinSeparation: 15000}
 	d := NewDetector(p, cfg)
@@ -190,33 +190,84 @@ func TestStreamDetectorDecided(t *testing.T) {
 		stream[atStrong+i] += v
 	}
 	want := d.Detect(stream)
-	final := func(idx int) bool {
-		return slices.ContainsFunc(want, func(w Detection) bool { return w.CoarseIndex == idx })
+	below := func(dets []Detection, idx int) []Detection {
+		return slices.DeleteFunc(slices.Clone(dets), func(det Detection) bool { return det.CoarseIndex >= idx })
 	}
 	sd := d.Stream()
-	prev, displaced := 0, false
+	prevDec, prevSet, displaced, early := 0, 0, false, false
 	for off := 0; off < len(stream); off += 2048 {
 		sd.Feed(stream[off:min(off+2048, len(stream))])
-		dec := sd.Decided()
-		if dec < prev || dec > sd.Fed() {
-			t.Fatalf("after %d samples: Decided %d (was %d)", sd.Fed(), dec, prev)
+		dec, set := sd.Decided(), sd.Settled()
+		if dec < prevDec || dec > sd.Fed() || set < prevSet || set > dec {
+			t.Fatalf("after %d samples: Decided %d (was %d), Settled %d (was %d)", sd.Fed(), dec, prevDec, set, prevSet)
 		}
-		prev = dec
-		for _, det := range sd.Detections() {
-			switch {
-			case det.CoarseIndex+2*cfg.MinSeparation <= dec && !final(det.CoarseIndex):
-				t.Fatalf("after %d samples: detection at %d, decided %d, is not final", sd.Fed(), det.CoarseIndex, dec)
-			case det.CoarseIndex < dec && !final(det.CoarseIndex):
+		prevDec, prevSet = dec, set
+		cur := sd.Detections()
+		sameDetections(t, fmt.Sprintf("settled prefix after %d samples", sd.Fed()), below(cur, set), below(want, set))
+		for _, det := range cur {
+			if det.CoarseIndex < dec && !slices.Contains(want, det) {
 				displaced = true
 			}
 		}
+		early = early || len(below(cur, set)) == len(want)
 	}
 	if !displaced {
 		t.Error("the weak preamble was never a decided-but-provisional detection")
 	}
+	if !early {
+		t.Error("the final set never settled before Flush")
+	}
 	sameDetections(t, "final", sd.Flush(), want)
 	if got, lags := sd.Decided(), len(stream)-p.PreambleLen()+1; got != lags {
 		t.Errorf("Decided after Flush = %d, want all %d lags", got, lags)
+	}
+	if sd.Settled() != sd.Decided() {
+		t.Errorf("Settled after Flush = %d, want Decided = %d", sd.Settled(), sd.Decided())
+	}
+}
+
+// TestStreamDetectorCandidateCapIsCausal feeds more gated peaks than
+// MaxCandidates, with a weak preamble ahead of many strong ones. Whether
+// a candidate is validated depends only on the peaks found before it, so
+// the weak preamble, settled before the strong ones arrive, stays in the
+// final set even though more than MaxCandidates stronger peaks follow it.
+func TestStreamDetectorCandidateCapIsCausal(t *testing.T) {
+	p := testParams()
+	cfg := DetectorConfig{MaxCandidates: 4}
+	d := NewDetector(p, cfg)
+	sep := 2 * p.PreambleLen()
+	const strong = 6
+	stream := makeStream(t, p, sep, (strong+3)*sep, 0.03, 0.02, 65)
+	for k := 2; k < strong+2; k++ {
+		for i, v := range sig.SharedPreamble(p) {
+			stream[k*sep+i] += v
+		}
+	}
+	want := d.Detect(stream)
+	sd := d.Stream()
+	var weak Detection
+	for off := 0; off < len(stream); off += 2048 {
+		sd.Feed(stream[off:min(off+2048, len(stream))])
+		if cur := sd.Detections(); weak.CoarseIndex == 0 && len(cur) > 0 && cur[0].CoarseIndex < sd.Settled() {
+			weak = cur[0]
+			if weak.CoarseIndex >= 2*sep {
+				t.Fatalf("first settled detection at %d, want the weak preamble near %d", weak.CoarseIndex, sep)
+			}
+		}
+	}
+	stronger := 0
+	for _, c := range sd.cands {
+		if c.corr > weak.CorrPeak {
+			stronger++
+		}
+	}
+	if stronger < cfg.MaxCandidates {
+		t.Fatalf("%d candidates stronger than the weak preamble, want at least MaxCandidates = %d", stronger, cfg.MaxCandidates)
+	}
+	got := sd.Flush()
+	sameDetections(t, "streamed vs one-shot", got, want)
+	if len(got) != strong+1 || got[0] != weak {
+		t.Errorf("final set %+v, want the settled weak preamble %+v and %d strong ones", got, weak, strong)
 	}
 }
 

@@ -149,10 +149,13 @@ type simDevice struct {
 	txIndex int
 	// syncSource records what the device synchronized to.
 	sync protocol.SyncSource
-	// scanEnd is the mic index where the final receiver scan stops: the
-	// end of the ranging phase once the device knows its local zero, the
-	// whole stream otherwise.
-	scanEnd int
+	// zero is the device's local zero as a mic index, once it has synced:
+	// its own query's arrival for the leader, the sync arrival minus the
+	// sync source's slot for a replier. It anchors the final scan window.
+	zero float64
+	// slot is when the device transmits in the clock zeroed on the
+	// leader's message, following its sync chain (the leader's is 0).
+	slot float64
 	// heard collects refined arrivals (and announced sync sources) per
 	// sender id.
 	heard map[int]heardMsg

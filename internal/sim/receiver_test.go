@@ -9,6 +9,7 @@ import (
 	"uwpos/internal/channel"
 	"uwpos/internal/device"
 	"uwpos/internal/geom"
+	"uwpos/internal/ingest"
 )
 
 // Dive groups shared by the receiver tests and the round benchmarks.
@@ -19,7 +20,21 @@ var (
 	boathouse5Pos = []geom.Vec3{
 		{X: 0, Y: 0, Z: 1.5}, {X: 6, Y: 1, Z: 2}, {X: 11, Y: -4, Z: 1}, {X: 16, Y: 3, Z: 2.5}, {X: 20, Y: -2, Z: 1.5},
 	}
+	// dock13Pos is a group of 13 divers, the session service's maximum,
+	// on a 12 m ring around the leader's side.
+	dock13Pos = ringPositions(13, 12)
 )
+
+// ringPositions places n divers evenly on a circle of radius r metres at
+// depths cycling through 1–4 m.
+func ringPositions(n int, r float64) []geom.Vec3 {
+	pos := make([]geom.Vec3, n)
+	for i := range pos {
+		a := 2 * math.Pi * float64(i) / float64(n)
+		pos[i] = geom.Vec3{X: r * math.Cos(a), Y: r * math.Sin(a), Z: 1 + float64(i%4)}
+	}
+	return pos
+}
 
 // groupConfig places Galaxy S9 phones at pos, the leader pointing at
 // device 1.
@@ -33,12 +48,27 @@ func groupConfig(env *channel.Environment, pos []geom.Vec3, seed int64, faults .
 }
 
 // receiverCase is one scenario family of the receiver equivalence tests,
-// run for seeds 1–8. check, when set, asserts that the scenario really
-// exercised the protocol path it exists for.
+// run for seeds 1 to seeds (8 when zero). check, when set, asserts that
+// the scenario really exercised the protocol path it exists for.
 type receiverCase struct {
 	name  string
+	seeds int64
 	cfg   func(seed int64) Config
 	check func(t *testing.T, nw *Network)
+}
+
+// forEachRound runs body on every scenario and seed of receiverCases as
+// a subtest.
+func forEachRound(t *testing.T, body func(t *testing.T, rc receiverCase, seed int64)) {
+	for _, rc := range receiverCases() {
+		seeds := rc.seeds
+		if seeds == 0 {
+			seeds = 8
+		}
+		for seed := int64(1); seed <= seeds; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", rc.name, seed), func(t *testing.T) { body(t, rc, seed) })
+		}
+	}
 }
 
 func receiverCases() []receiverCase {
@@ -75,6 +105,29 @@ func receiverCases() []receiverCase {
 			if _, ok := nw.devices[2].heard[3]; !ok {
 				t.Error("device 2 did not hear device 3's last-wrap-slot packet")
 			}
+		}},
+		// A chained wrap: device 3 alone hears the leader. In the wrap
+		// pass device 1 syncs to device 3 and sends N·Δ1 past its slot;
+		// device 2 hears only device 1 and wraps again, past
+		// RoundTime(false).
+		{name: "dock4-chainwrap", cfg: func(seed int64) Config {
+			return groupConfig(channel.Dock(), dock4Pos, seed, LinkFault{A: 0, B: 1, Drop: true},
+				LinkFault{A: 0, B: 2, Drop: true}, LinkFault{A: 2, B: 3, Drop: true})
+		}, check: func(t *testing.T, nw *Network) {
+			if s := nw.devices[2].sync; s.From != 1 || !s.Missed {
+				t.Errorf("device 2 synced to %+v, want the wrap off device 1", s)
+			}
+			if slot := nw.devices[2].slot; slot <= nw.proto.RoundTime(false) {
+				t.Errorf("device 2 sends at %.3f s, not past RoundTime(false) = %.3f s", slot, nw.proto.RoundTime(false))
+			}
+			if _, ok := nw.devices[1].heard[2]; !ok {
+				t.Error("device 1 did not hear device 2's chained-wrap packet")
+			}
+		}},
+		// The largest group the session service accepts: more than
+		// MaxCandidates correlation peaks per stream.
+		{name: "dock13", seeds: 2, cfg: func(seed int64) Config {
+			return groupConfig(channel.Dock(), dock13Pos, seed)
 		}},
 	}
 }
@@ -131,35 +184,38 @@ func TestFirstMessageEarlyStopMatchesFullScan(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full acoustic rounds")
 	}
-	for _, rc := range receiverCases() {
-		for seed := int64(1); seed <= 8; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", rc.name, seed), func(t *testing.T) {
-				nw := runRangingPhase(t, rc.cfg(seed), func(nw *Network, d *simDevice) {
-					if d.txIndex >= 0 {
-						return
-					}
-					want, wantOK := nw.firstMessageFullScan(d)
-					got, fed, ok := nw.firstDetectedMessage(d)
-					if ok != wantOK || got.sender != want.sender || got.toa.ArrivalIdx != want.toa.ArrivalIdx {
-						t.Errorf("device %d: early stop (%v, %d, %v), full scan (%v, %d, %v)",
-							d.id, got.toa.ArrivalIdx, got.sender, ok, want.toa.ArrivalIdx, want.sender, wantOK)
-					}
-					if ok && fed >= d.stack.StreamLen() {
-						t.Errorf("device %d: fed %d of %d samples despite an early message", d.id, fed, d.stack.StreamLen())
-					}
-				})
-				defer nw.releaseAudio()
-				for _, d := range nw.devices {
-					if err := nw.processArrivals(d); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if rc.check != nil {
-					rc.check(t, nw)
-				}
-			})
+	forEachRound(t, func(t *testing.T, rc receiverCase, seed int64) {
+		cfg := rc.cfg(seed)
+		// The meter counts the samples every ingest pipeline of the round
+		// is fed, which includes the early-stopping session's.
+		meter := ingest.NewMeter(1)
+		cfg.IngestMeter = meter
+		nw := runRangingPhase(t, cfg, func(nw *Network, d *simDevice) {
+			if d.txIndex >= 0 {
+				return
+			}
+			want, wantOK := nw.firstMessageFullScan(d)
+			before := meter.Report().Samples
+			got, ok := nw.firstDetectedMessage(d)
+			fed := meter.Report().Samples - before
+			if ok != wantOK || got.sender != want.sender || got.toa.ArrivalIdx != want.toa.ArrivalIdx {
+				t.Errorf("device %d: early stop (%v, %d, %v), full scan (%v, %d, %v)",
+					d.id, got.toa.ArrivalIdx, got.sender, ok, want.toa.ArrivalIdx, want.sender, wantOK)
+			}
+			if ok && fed >= d.stack.StreamLen() {
+				t.Errorf("device %d: fed %d of %d samples despite an early message", d.id, fed, d.stack.StreamLen())
+			}
+		})
+		defer nw.releaseAudio()
+		for _, d := range nw.devices {
+			if err := nw.processArrivals(d); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+		if rc.check != nil {
+			rc.check(t, nw)
+		}
+	})
 }
 
 // sameHeard compares two heard maps: the same senders, each with the same
@@ -191,33 +247,32 @@ func sameHeard(a, b map[int]heardMsg) bool {
 
 // TestRangingWindowKeepsEveryArrival checks that bounding the final scan
 // to the ranging phase loses nothing: on every device, the windowed scan
-// hears exactly what a scan of the whole stream hears — including the
-// packet sent in the last wrap slot.
+// hears exactly what a scan of the whole stream hears, including the
+// packet sent in the last wrap slot and the one a chained wrap sends past
+// RoundTime(false). Unless a chained wrap extends the ranging phase, the
+// window of every synced device ends before the stream does.
 func TestRangingWindowKeepsEveryArrival(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full acoustic rounds")
 	}
-	for _, rc := range receiverCases() {
-		for seed := int64(1); seed <= 8; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", rc.name, seed), func(t *testing.T) {
-				nw := runRangingPhase(t, rc.cfg(seed), nil)
-				defer nw.releaseAudio()
-				for _, d := range nw.devices {
-					if d.scanEnd >= d.stack.StreamLen() {
-						t.Errorf("device %d scans the whole stream", d.id)
-					}
-					if err := nw.processArrivals(d); err != nil {
-						t.Fatal(err)
-					}
-					full := heardFrom(nw.detectMessages(d, d.stack.StreamLen()), d.id)
-					if !sameHeard(d.heard, full) {
-						t.Errorf("device %d: window [0, %d) heard %v, whole stream %v", d.id, d.scanEnd, d.heard, full)
-					}
-				}
-				if rc.check != nil {
-					rc.check(t, nw)
-				}
-			})
+	forEachRound(t, func(t *testing.T, rc receiverCase, seed int64) {
+		nw := runRangingPhase(t, rc.cfg(seed), nil)
+		defer nw.releaseAudio()
+		for _, d := range nw.devices {
+			end := nw.scanEnd(d)
+			if d.txIndex >= 0 && nw.lastSlot() == nw.proto.RoundTime(false) && end >= d.stack.StreamLen() {
+				t.Errorf("device %d scans the whole stream", d.id)
+			}
+			if err := nw.processArrivals(d); err != nil {
+				t.Fatal(err)
+			}
+			full := heardFrom(nw.detectMessages(d, d.stack.StreamLen()), d.id)
+			if !sameHeard(d.heard, full) {
+				t.Errorf("device %d: window [0, %d) heard %v, whole stream %v", d.id, end, d.heard, full)
+			}
 		}
-	}
+		if rc.check != nil {
+			rc.check(t, nw)
+		}
+	})
 }

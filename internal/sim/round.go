@@ -112,7 +112,8 @@ func (nw *Network) transmitQuery() {
 	queryIdx := int(queryAt * nw.params.SampleRate)
 	queryWave := nw.messageWave(0, 0)
 	leader.txIndex = queryIdx
-	leader.scanEnd = nw.rangingEnd(float64(queryIdx - leader.stack.IndexOffset()))
+	leader.zero = float64(queryIdx - leader.stack.IndexOffset())
+	leader.slot = 0
 	leader.stack.WriteSpeaker(queryIdx, queryWave)
 	nw.renderTransmission(leader, queryIdx, queryWave)
 	releaseWave(queryWave)
@@ -195,7 +196,6 @@ func (nw *Network) setupDevices(dur float64) error {
 			}),
 			sensor:  sensor,
 			txIndex: -1,
-			scanEnd: stack.StreamLen(),
 			heard:   make(map[int]heardMsg),
 		})
 	}
@@ -275,13 +275,14 @@ func (nw *Network) scheduleReply(d *simDevice) bool {
 	if d.txIndex >= 0 {
 		return true
 	}
-	first, _, ok := nw.firstDetectedMessage(d)
+	first, ok := nw.firstDetectedMessage(d)
 	if !ok {
 		return false
 	}
 	offset, src := nw.proto.TransmitOffset(d.id, first.sender)
 	d.sync = src
-	d.scanEnd = nw.rangingEnd(first.toa.ArrivalIdx - nw.slotTime(src.From)*nw.params.SampleRate)
+	d.zero = first.toa.ArrivalIdx - nw.slotTime(src.From)*nw.params.SampleRate
+	d.slot = nw.devices[src.From].slot + offset
 	m2 := int(math.Round(first.toa.ArrivalIdx))
 	txIdx := d.stack.ReplyIndex(m2, offset)
 	wave := nw.messageWave(d.id, src.From)
@@ -301,16 +302,34 @@ func (nw *Network) slotTime(id int) float64 {
 	return nw.proto.SlotTime(id)
 }
 
-// rangingEnd bounds the ranging phase on a device's mic timeline, given
-// its local zero (the leader message's arrival, or the sync arrival minus
-// the sync source's slot) as a mic index: the protocol's worst-case last
-// packet ends RoundTime(false) + TPacket + TGuard after the zero, and one
-// more preamble lets the detector decide every lag of a packet starting
-// before that. Only the report phase and noise lie beyond it.
-func (nw *Network) rangingEnd(zero float64) int {
+// lastSlot is when the round's last ranging packet is sent, in the clock
+// zeroed on the leader's message: RoundTime(false), unless a device
+// wrapped off a source that had itself wrapped. Such a source sends N·Δ1
+// past its slot, and the wrap off it lands past RoundTime(false).
+func (nw *Network) lastSlot() float64 {
+	last := nw.proto.RoundTime(false)
+	for _, d := range nw.devices {
+		if d.txIndex >= 0 {
+			last = max(last, d.slot)
+		}
+	}
+	return last
+}
+
+// scanEnd bounds d's final receiver scan to the ranging phase on its mic
+// timeline. From d's local zero, the last packet ends lastSlot + TPacket
+// + TGuard later, and one more preamble lets the detector decide every
+// lag of a packet that starts before that. Only the report phase and
+// noise lie beyond. A device that never synced has no zero and scans the
+// whole stream.
+func (nw *Network) scanEnd(d *simDevice) int {
+	n := d.stack.StreamLen()
+	if d.txIndex < 0 {
+		return n
+	}
 	p := nw.proto
-	end := zero + (p.RoundTime(false)+p.TPacket+p.TGuard)*nw.params.SampleRate
-	return int(math.Ceil(end)) + nw.params.PreambleLen()
+	end := d.zero + (nw.lastSlot()+p.TPacket+p.TGuard)*nw.params.SampleRate
+	return min(int(math.Ceil(end))+nw.params.PreambleLen(), n)
 }
 
 // heardMsg pairs an arrival with the sync-source ID the sender announced.
@@ -320,32 +339,27 @@ type heardMsg struct {
 }
 
 // firstDetectedMessage returns the earliest foreign message in d's
-// current stream — the one a diver replies to (§2.3) — and how many
-// samples its detection session consumed. One StreamDetector session is
-// fed buffer by buffer, and its detections are refined and decoded in
-// index order as each becomes final. A detection is final once the
-// decided lags reach its coarse index plus one preamble (two
-// MinSeparations): a peak displacing it lies within MinSeparation after
-// it, a peak suppressing that one within MinSeparation after the
-// displacer, and packets from different senders arrive at least TPacket
-// (more than a preamble) apart, so no longer dedup chain forms. The scan
-// stops at the first detection that decodes to a foreign sender. A
-// refined arrival lies within [c−GuardTaps, c+SymbolLen) of its coarse
-// index c and detections are at least MinSeparation apart, so index
-// order is arrival order: the result is the minimum-arrival foreign
-// message of a full-stream scan. When the stream holds none, the
-// session's Flush set is final and nothing is scanned twice.
-func (nw *Network) firstDetectedMessage(d *simDevice) (msg detected, fed int, ok bool) {
+// current stream: the one a diver replies to (§2.3). One StreamDetector
+// session is fed buffer by buffer. Once a detection lies below the
+// session's Settled index, no later audio can change it or add an
+// earlier one, so detections are refined and decoded in index order as
+// they settle. The scan stops at the first that decodes to a foreign
+// sender. A refined arrival lies within [c−GuardTaps, c+SymbolLen) of
+// its coarse index c, and detections are at least MinSeparation apart,
+// so index order is arrival order. The result is therefore the
+// minimum-arrival foreign message of a full-stream scan. When the stream
+// holds none, the session's Flush set is final and nothing is scanned
+// twice.
+func (nw *Network) firstDetectedMessage(d *simDevice) (detected, bool) {
 	sd := d.ranger.Detector.StreamWith(nw.cfg.IngestMeter)
-	pre := nw.params.PreambleLen()
 	tried := -1 // coarse index of the last detection refined and decoded
-	next := func(dets []ranging.Detection, decided int) (detected, bool) {
+	next := func(dets []ranging.Detection, settled int) (detected, bool) {
 		for _, det := range dets {
 			if det.CoarseIndex <= tried {
 				continue
 			}
-			if det.CoarseIndex+pre > decided {
-				return detected{}, false // not final yet
+			if det.CoarseIndex >= settled {
+				return detected{}, false
 			}
 			tried = det.CoarseIndex
 			if m, ok := nw.decodeMessage(d, det); ok && m.sender != d.id {
@@ -356,13 +370,12 @@ func (nw *Network) firstDetectedMessage(d *simDevice) (msg detected, fed int, ok
 	}
 	for chunk := range d.stack.MicChunks(0, nw.ingestChunk()) {
 		sd.Feed(chunk)
-		if m, ok := next(sd.Detections(), sd.Decided()); ok {
+		if m, ok := next(sd.Detections(), sd.Settled()); ok {
 			sd.Flush() // ends the session on what was fed, returning its pooled scratch
-			return m, sd.Fed(), true
+			return m, true
 		}
 	}
-	m, ok := next(sd.Flush(), math.MaxInt)
-	return m, sd.Fed(), ok
+	return next(sd.Flush(), math.MaxInt)
 }
 
 type detected struct {
@@ -443,11 +456,9 @@ func (nw *Network) decodeMessage(d *simDevice, det ranging.Detection) (detected,
 }
 
 // processArrivals populates d.heard from the final streams. Only the
-// ranging phase is scanned: d.scanEnd is the protocol's bound on the
-// last ranging packet (see rangingEnd), or the whole stream for a device
-// that never synced.
+// ranging phase is scanned (see scanEnd).
 func (nw *Network) processArrivals(d *simDevice) error {
-	d.heard = heardFrom(nw.detectMessages(d, d.scanEnd), d.id)
+	d.heard = heardFrom(nw.detectMessages(d, nw.scanEnd(d)), d.id)
 	return nil
 }
 
