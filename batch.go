@@ -33,16 +33,16 @@ type BatchOptions struct {
 	OnResult func(BatchOutcome)
 }
 
-// runBatch fans trials across the engine, streaming outcomes to OnResult
-// when set.
+// runBatch fans trials across the engine, filling the result slice in
+// trial order and streaming outcomes to OnResult when set. Trials a
+// cancellation kept from running hold the zero BatchOutcome.
 func runBatch(ctx context.Context, cfg engine.Config, n int, opt BatchOptions, fn func(trial int, rng *rand.Rand) BatchOutcome) ([]BatchOutcome, error) {
-	if opt.OnResult == nil {
-		return engine.Run(ctx, cfg, n, fn)
-	}
 	out := make([]BatchOutcome, n)
 	err := engine.Stream(ctx, cfg, n, fn, func(trial int, r BatchOutcome) {
 		out[trial] = r
-		opt.OnResult(r)
+		if opt.OnResult != nil {
+			opt.OnResult(r)
+		}
 	})
 	return out, err
 }

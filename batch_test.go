@@ -2,6 +2,8 @@ package uwpos
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -133,5 +135,48 @@ func TestLocateNOnResultStreams(t *testing.T) {
 		if o.Trial != i {
 			t.Errorf("slot %d holds trial %d", i, o.Trial)
 		}
+	}
+}
+
+// TestLocateNOnResultMatchesCollected: setting OnResult changes only who
+// else sees each outcome — the returned slice is identical with and
+// without the callback.
+func TestLocateNOnResultMatchesCollected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full system rounds are expensive")
+	}
+	sys, err := NewSystem(batchConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(out []BatchOutcome) string {
+		var b strings.Builder
+		for _, o := range out {
+			fmt.Fprintf(&b, "trial %d err %v\n", o.Trial, o.Err)
+			if o.Outcome != nil {
+				r := o.Outcome
+				fmt.Fprintf(&b, "%v %v %v %v %v %v %v\n", *r.Result, r.Distances, r.Weights,
+					r.LatencySec, r.Err2D, r.Err3D, r.Result.Positions)
+			}
+		}
+		return b.String()
+	}
+	plain, err := sys.LocateN(context.Background(), 2, BatchOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	streamed, err := sys.LocateN(context.Background(), 2, BatchOptions{
+		Workers:  2,
+		OnResult: func(BatchOutcome) { calls++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2 {
+		t.Fatalf("OnResult called %d times, want 2", calls)
+	}
+	if a, b := render(plain), render(streamed); a != b {
+		t.Fatalf("OnResult changed the returned outcomes:\nnil:\n%s\nset:\n%s", a, b)
 	}
 }

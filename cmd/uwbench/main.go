@@ -49,60 +49,31 @@ import (
 
 type runner func(experiments.Options) *stats.Table
 
-func registry() map[string]runner {
-	return map[string]runner{
-		"fig06a": func(o experiments.Options) *stats.Table { _, t := experiments.Fig06a(o); return t },
-		"fig06b": func(o experiments.Options) *stats.Table { _, t := experiments.Fig06b(o); return t },
-		"fig06c": func(o experiments.Options) *stats.Table { _, t := experiments.Fig06c(o); return t },
-		"fig06d": func(o experiments.Options) *stats.Table { _, t := experiments.Fig06d(o); return t },
-		"fig11a": func(o experiments.Options) *stats.Table { _, t := experiments.Fig11a(o); return t },
-		"fig11b": func(o experiments.Options) *stats.Table { _, t := experiments.Fig11b(o); return t },
-		"fig12a": func(o experiments.Options) *stats.Table { _, _, t := experiments.Fig12a(o); return t },
-		"fig12b": func(o experiments.Options) *stats.Table { _, t := experiments.Fig12b(o); return t },
-		"fig13a": func(o experiments.Options) *stats.Table { _, t := experiments.Fig13a(o); return t },
-		"fig13b": func(o experiments.Options) *stats.Table { _, t := experiments.Fig13b(o); return t },
-		"fig14a": func(o experiments.Options) *stats.Table { _, t := experiments.Fig14a(o); return t },
-		"fig14b": func(o experiments.Options) *stats.Table { _, t := experiments.Fig14b(o); return t },
-		"fig15":  func(o experiments.Options) *stats.Table { _, t := experiments.Fig15(o); return t },
-		"fig16":  func(o experiments.Options) *stats.Table { _, t := experiments.Fig16(o); return t },
-		"fig18":  func(o experiments.Options) *stats.Table { _, t := experiments.Fig18(o); return t },
-		"fig19a": func(o experiments.Options) *stats.Table { _, t := experiments.Fig19a(o); return t },
-		"fig19b": func(o experiments.Options) *stats.Table { _, t := experiments.Fig19b(o); return t },
-		"fig19b-4dev": func(o experiments.Options) *stats.Table {
-			_, t := experiments.FourDevices(o)
-			return t
-		},
-		"fig20": func(o experiments.Options) *stats.Table { _, t := experiments.Fig20(o); return t },
-		"fig22": func(o experiments.Options) *stats.Table { _, t := experiments.Fig22(o); return t },
-		"rtt":   func(o experiments.Options) *stats.Table { _, t := experiments.RTT(o); return t },
-		"flipping": func(o experiments.Options) *stats.Table {
-			_, _, t := experiments.Flipping(o)
-			return t
-		},
-		"battery": func(o experiments.Options) *stats.Table { return experiments.Battery(o) },
-		"ingest":  func(o experiments.Options) *stats.Table { return experiments.Ingest(o) },
-		// "service" is a load test of the uwposd serving stack: its table
-		// reports wall-clock latencies, so it stays out of the
-		// deterministic "all" ordering and the baseline timing gate.
-		"service":  func(o experiments.Options) *stats.Table { return experiments.Service(o) },
-		"headline": experiments.Headline,
-		"ablation-bandwindow": func(o experiments.Options) *stats.Table {
-			_, t := experiments.AblationBandWindow(o)
-			return t
-		},
-		"ablation-prefilter": func(o experiments.Options) *stats.Table {
-			_, t := experiments.AblationPrefilter(o)
-			return t
-		},
-		"ablation-restarts": func(o experiments.Options) *stats.Table {
-			_, t := experiments.AblationRestarts(o)
-			return t
-		},
-		"ablation-reportback": func(o experiments.Options) *stats.Table {
-			_, t := experiments.AblationReportBack(o)
-			return t
-		},
+// wholeRuns are the experiments with no accumulate/render split: they
+// drive live pipelines or a serving stack and always run whole. Every
+// other id runs through experiments.Accumulate/RenderPartial.
+var wholeRuns = map[string]runner{
+	"ingest": experiments.Ingest,
+	// "service" is a load test of the uwposd serving stack: its table
+	// reports wall-clock latencies, so it stays out of the
+	// deterministic "all" ordering and the baseline timing gate.
+	"service": experiments.Service,
+}
+
+// runnable reports whether -experiment accepts id.
+func runnable(id string) bool {
+	_, ok := wholeRuns[id]
+	return ok || experiments.CanShard(id)
+}
+
+// runnableIDs lists every id -experiment accepts, sorted.
+func runnableIDs() []string {
+	ids := experiments.ShardableIDs()
+	for id := range wholeRuns {
+		ids = append(ids, id)
 	}
+	sort.Strings(ids)
+	return ids
 }
 
 // order fixes a stable printing order mirroring the paper's flow.
@@ -573,14 +544,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runMerge(paths, *out, *workers, stdout, stderr)
 	}
 
-	reg := registry()
 	if *exp == "list" {
-		ids := make([]string, 0, len(reg))
-		for id := range reg {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		fmt.Fprintln(stdout, strings.Join(ids, "\n"))
+		fmt.Fprintln(stdout, strings.Join(runnableIDs(), "\n"))
 		return 0
 	}
 
@@ -590,7 +555,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	for _, id := range ids {
-		if _, ok := reg[id]; !ok {
+		if !runnable(id) {
 			fmt.Fprintf(stderr, "unknown experiment %q (try -experiment list)\n", id)
 			return 2
 		}
@@ -788,7 +753,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	runWhole := func(id string) int {
-		fn := reg[id]
+		fn := wholeRuns[id]
 		if meter != nil {
 			meter.reset(id)
 		}

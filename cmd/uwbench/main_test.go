@@ -98,6 +98,27 @@ func TestUnknownExperimentRejected(t *testing.T) {
 	}
 }
 
+// TestOrderCoversRunnableIDs: "all" and the printing order reach every
+// experiment -experiment accepts except the wall-clock service load test,
+// and name nothing it rejects.
+func TestOrderCoversRunnableIDs(t *testing.T) {
+	inOrder := make(map[string]bool)
+	for _, id := range order {
+		if !runnable(id) {
+			t.Errorf("order lists %q, which -experiment rejects", id)
+		}
+		inOrder[id] = true
+	}
+	for _, id := range runnableIDs() {
+		if !inOrder[id] && id != "service" {
+			t.Errorf("runnable experiment %q is missing from order", id)
+		}
+	}
+	if inOrder["service"] {
+		t.Error("service must stay out of the deterministic order")
+	}
+}
+
 // TestShardMergeMatchesFullRun drives the real CLI surface in-process:
 // two shards at different worker counts, emitted to disk, merged — the
 // merged tables must be byte-identical to the single-process run.

@@ -28,6 +28,12 @@ func TestConfigErrorAs(t *testing.T) {
 			return err
 		}(), "SeparationM"},
 		{"empty tracker round", NewGroupTracker(TrackerConfig{}).AddRound(0, nil), "Result"},
+		{"diver below the bottom", func() error {
+			_, err := NewSystem(SystemConfig{Env: Dock(), Divers: []Diver{
+				{Pos: Vec3{Z: 2}}, {Pos: Vec3{X: 5, Z: 500}}, {Pos: Vec3{X: 9, Z: 2}},
+			}})
+			return err
+		}(), "Divers[1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package audio models the low-level audio path of a smart device: a
-// speaker output stream and one microphone input stream per mic, each
-// driven by its own converter clock with an unknown stream-start time and a
-// ppm-scale sampling-rate error.
+// speaker converter and one microphone input stream per mic, each
+// converter driven by its own clock with an unknown stream-start time and
+// a ppm-scale sampling-rate error. Only the mic streams are stored; the
+// speaker side is its index↔time mapping, which is all a reply needs.
 //
 // This reproduces the paper's appendix ("Low-level audio timing", Fig. 21):
 // the OS fills both buffers independently, so a device never knows the wall
@@ -35,21 +36,20 @@ type Config struct {
 
 // Stack is the audio-path state of one device.
 type Stack struct {
-	cfg     Config
-	speaker []float64   // speaker output stream (device-writable)
-	mics    [][]float64 // microphone input streams (channel-writable)
+	cfg  Config
+	mics [][]float64 // microphone input streams (channel-writable)
 
 	calibrated  bool
 	indexOffset int // Δn = n₁ − m₁ measured at self-calibration
 }
 
-// NewStack allocates the streams. Mic streams share one converter clock
+// NewStack allocates the mic streams. They share one converter clock
 // (they are channels of the same ADC) but have distinct spatial positions,
 // which the device layer tracks.
 //
 // Stream buffers come zeroed from the shared internal/dsp scratch pool —
 // they are by far the largest per-trial allocation (seconds of audio ×
-// (1 + NumMics) streams × devices), so under the parallel trial engine a
+// NumMics streams × devices), so under the parallel trial engine a
 // steady-state worker reuses the same slabs round after round. Call
 // Release once the round's receiver processing is done to hand them back;
 // a dropped stack merely costs a future allocation.
@@ -67,11 +67,7 @@ func NewStack(cfg Config) (*Stack, error) {
 		return nil, fmt.Errorf("audio: clock skew beyond 1%% is not a ppm model")
 	}
 	n := int(cfg.Duration*cfg.SampleRate) + 1
-	s := &Stack{
-		cfg:     cfg,
-		speaker: dsp.GetF64(n),
-		mics:    make([][]float64, cfg.NumMics),
-	}
+	s := &Stack{cfg: cfg, mics: make([][]float64, cfg.NumMics)}
 	for i := range s.mics {
 		s.mics[i] = dsp.GetF64(n)
 	}
@@ -82,11 +78,9 @@ func NewStack(cfg Config) (*Stack, error) {
 // stack must not be used afterwards (stream accessors return nil and
 // StreamLen reports 0). Safe to call more than once.
 func (s *Stack) Release() {
-	if s.speaker == nil {
+	if s.mics[0] == nil {
 		return
 	}
-	dsp.PutF64(s.speaker)
-	s.speaker = nil
 	for i, m := range s.mics {
 		dsp.PutF64(m)
 		s.mics[i] = nil
@@ -100,7 +94,7 @@ func (s *Stack) SampleRate() float64 { return s.cfg.SampleRate }
 func (s *Stack) NumMics() int { return len(s.mics) }
 
 // StreamLen returns the allocated stream length in samples.
-func (s *Stack) StreamLen() int { return len(s.speaker) }
+func (s *Stack) StreamLen() int { return len(s.mics[0]) }
 
 // SpeakerRate returns the true speaker converter rate fs/(1−α).
 func (s *Stack) SpeakerRate() float64 { return s.cfg.SampleRate / (1 - s.cfg.SpeakerSkew) }
@@ -114,46 +108,11 @@ func (s *Stack) SpeakerIndexToTime(n float64) float64 {
 	return s.cfg.SpeakerStart + n/s.SpeakerRate()
 }
 
-// TimeToSpeakerIndex is the inverse of SpeakerIndexToTime.
-func (s *Stack) TimeToSpeakerIndex(t float64) float64 {
-	return (t - s.cfg.SpeakerStart) * s.SpeakerRate()
-}
-
-// MicIndexToTime maps a microphone-stream index to absolute time.
+// TimeToMicIndex maps absolute time to a microphone-stream index.
 // Simulation-side only.
-func (s *Stack) MicIndexToTime(m float64) float64 {
-	return s.cfg.MicStart + m/s.MicRate()
-}
-
-// TimeToMicIndex is the inverse of MicIndexToTime.
 func (s *Stack) TimeToMicIndex(t float64) float64 {
 	return (t - s.cfg.MicStart) * s.MicRate()
 }
-
-// WriteSpeaker writes wave into the speaker stream starting at index n,
-// clipping to the allocated range. This is the "write audio samples to a
-// future speaker buffer" primitive of the OpenSL ES layer. It returns the
-// number of samples written.
-func (s *Stack) WriteSpeaker(n int, wave []float64) int {
-	if n < 0 {
-		wave = wave[min(-n, len(wave)):]
-		n = 0
-	}
-	written := 0
-	for i, v := range wave {
-		idx := n + i
-		if idx >= len(s.speaker) {
-			break
-		}
-		s.speaker[idx] += v
-		written++
-	}
-	return written
-}
-
-// Speaker returns the full speaker stream (simulation-side: the channel
-// reads this to propagate sound into the water).
-func (s *Stack) Speaker() []float64 { return s.speaker }
 
 // Mic returns the i-th microphone stream. The channel adds arrivals into
 // it; the device's receiver pipeline reads it.
@@ -207,9 +166,6 @@ func (s *Stack) Calibrate(n1, m1 int) {
 	s.calibrated = true
 }
 
-// Calibrated reports whether Calibrate has been called.
-func (s *Stack) Calibrated() bool { return s.calibrated }
-
 // IndexOffset returns the calibrated Δn (0 before calibration).
 func (s *Stack) IndexOffset() int { return s.indexOffset }
 
@@ -226,15 +182,4 @@ func (s *Stack) ReplyIndex(m2 int, tReply float64) int {
 		panic("audio: ReplyIndex before calibration")
 	}
 	return m2 + s.indexOffset + int(math.Round(s.cfg.SampleRate*tReply))
-}
-
-// ReplyTimingError returns the difference t_reply − t⁰_reply that the
-// index arithmetic incurs from clock skew (Eq. 6 of the paper):
-//
-//	err = −α·t⁰ + (m₂ − m₁)(β − α)/fs
-//
-// Useful for analytical studies of protocol timing budgets.
-func (s *Stack) ReplyTimingError(tReply0 float64, m2, m1 int) float64 {
-	alpha, beta := s.cfg.SpeakerSkew, s.cfg.MicSkew
-	return -alpha*tReply0 + float64(m2-m1)*(beta-alpha)/s.cfg.SampleRate
 }

@@ -68,10 +68,10 @@ func TestIndexTimeRoundTrip(t *testing.T) {
 		}
 		n := float64(idx)
 		tn := s.SpeakerIndexToTime(n)
-		if math.Abs(s.TimeToSpeakerIndex(tn)-n) > 1e-6 {
+		if math.Abs((tn-cfg.SpeakerStart)*s.SpeakerRate()-n) > 1e-6 {
 			return false
 		}
-		tm := s.MicIndexToTime(n)
+		tm := cfg.MicStart + n/s.MicRate()
 		return math.Abs(s.TimeToMicIndex(tm)-n) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -79,35 +79,13 @@ func TestIndexTimeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteSpeakerClipping(t *testing.T) {
-	s, _ := NewStack(defaultCfg())
-	wave := []float64{1, 2, 3, 4}
-	// Negative start clips the head.
-	if n := s.WriteSpeaker(-2, wave); n != 2 {
-		t.Errorf("wrote %d, want 2", n)
-	}
-	if s.Speaker()[0] != 3 || s.Speaker()[1] != 4 {
-		t.Errorf("head clip wrong: %v", s.Speaker()[:3])
-	}
-	// Past-the-end clips the tail.
-	last := s.StreamLen() - 2
-	if n := s.WriteSpeaker(last, wave); n != 2 {
-		t.Errorf("wrote %d at tail, want 2", n)
-	}
-	// Writes are additive (mixing).
-	s.WriteSpeaker(0, []float64{10, 10})
-	if s.Speaker()[0] != 13 {
-		t.Errorf("additive write: got %g", s.Speaker()[0])
-	}
-}
-
 func TestCalibrationAndReplyIndex(t *testing.T) {
 	s, _ := NewStack(defaultCfg())
-	if s.Calibrated() {
+	if s.calibrated {
 		t.Error("fresh stack must be uncalibrated")
 	}
 	s.Calibrate(1000, 400) // Δn = 600
-	if !s.Calibrated() || s.IndexOffset() != 600 {
+	if !s.calibrated || s.IndexOffset() != 600 {
 		t.Fatalf("offset = %d", s.IndexOffset())
 	}
 	// Reply 100 ms after detection at mic index 5000:
@@ -127,20 +105,28 @@ func TestReplyIndexPanicsUncalibrated(t *testing.T) {
 	s.ReplyIndex(100, 0.1)
 }
 
+// replyTimingError is the difference t_reply − t⁰_reply that the index
+// arithmetic incurs from clock skew (Eq. 6 of the paper):
+//
+//	err = −α·t⁰ + (m₂ − m₁)(β − α)/fs
+func replyTimingError(cfg Config, tReply0 float64, m2, m1 int) float64 {
+	alpha, beta := cfg.SpeakerSkew, cfg.MicSkew
+	return -alpha*tReply0 + float64(m2-m1)*(beta-alpha)/cfg.SampleRate
+}
+
+// TestReplyTimingErrorEquation pins the Eq. 6 oracle that bounds
+// TestEndToEndReplyTiming to a worked example.
 func TestReplyTimingErrorEquation(t *testing.T) {
 	cfg := defaultCfg()
 	cfg.SpeakerSkew = 40e-6 // α
 	cfg.MicSkew = 10e-6     // β
-	s, _ := NewStack(cfg)
-	// Eq. 6: err = −α·t⁰ + (m2−m1)(β−α)/fs.
-	got := s.ReplyTimingError(0.5, 50000, 2000)
+	got := replyTimingError(cfg, 0.5, 50000, 2000)
 	want := -40e-6*0.5 + 48000*(10e-6-40e-6)/44100
 	if math.Abs(got-want) > 1e-15 {
 		t.Errorf("timing error %g, want %g", got, want)
 	}
 	// Zero skew: no error.
-	s2, _ := NewStack(defaultCfg())
-	if e := s2.ReplyTimingError(1.0, 90000, 0); e != 0 {
+	if e := replyTimingError(defaultCfg(), 1.0, 90000, 0); e != 0 {
 		t.Errorf("zero-skew error %g", e)
 	}
 }
@@ -181,7 +167,7 @@ func TestEndToEndReplyTiming(t *testing.T) {
 	actual := tOut - tArr
 
 	// Eq. 6 bound plus a sample of quantization slack.
-	bound := math.Abs(s.ReplyTimingError(tReply, m2, m1)) + 2.5/cfg.SampleRate
+	bound := math.Abs(replyTimingError(cfg, tReply, m2, m1)) + 2.5/cfg.SampleRate
 	if math.Abs(actual-tReply) > bound {
 		t.Errorf("reply interval %g, want %g ± %g", actual, tReply, bound)
 	}
@@ -209,7 +195,7 @@ func TestPooledStackReuseNoAliasing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, stream := range [][]float64{s.Speaker(), s.Mic(0), s.Mic(1)} {
+		for _, stream := range [][]float64{s.Mic(0), s.Mic(1)} {
 			for i, v := range stream {
 				if v != 0 {
 					t.Fatalf("trial %d: reused buffer dirty at %d (%g)", trial, i, v)
@@ -217,7 +203,7 @@ func TestPooledStackReuseNoAliasing(t *testing.T) {
 			}
 		}
 		// Leave trial residue everywhere before handing buffers back.
-		for _, stream := range [][]float64{s.Speaker(), s.Mic(0), s.Mic(1)} {
+		for _, stream := range [][]float64{s.Mic(0), s.Mic(1)} {
 			for i := range stream {
 				stream[i] = float64(trial + 1)
 			}
@@ -232,10 +218,9 @@ func TestPooledStackReuseNoAliasing(t *testing.T) {
 func TestConcurrentStacksShareNothing(t *testing.T) {
 	a, _ := NewStack(defaultCfg())
 	b, _ := NewStack(defaultCfg())
-	a.Speaker()[7] = 42
 	a.Mic(0)[7] = 43
 	a.Mic(1)[7] = 44
-	if b.Speaker()[7] != 0 || b.Mic(0)[7] != 0 || b.Mic(1)[7] != 0 {
+	if b.Mic(0)[7] != 0 || b.Mic(1)[7] != 0 {
 		t.Error("live stacks alias pooled buffers")
 	}
 	a.Release()
@@ -249,15 +234,15 @@ func TestReleaseIdempotentAndInert(t *testing.T) {
 	if s.StreamLen() != 0 {
 		t.Errorf("released stack StreamLen = %d", s.StreamLen())
 	}
-	if s.Speaker() != nil || s.Mic(0) != nil {
+	if s.Mic(0) != nil || s.Mic(1) != nil {
 		t.Error("released stack should expose no streams")
 	}
 	// A double release must not have put the same buffer in the pool
 	// twice: two fresh stacks must still be independent.
 	a, _ := NewStack(defaultCfg())
 	b, _ := NewStack(defaultCfg())
-	a.Speaker()[3] = 9
-	if b.Speaker()[3] != 0 {
+	a.Mic(0)[3] = 9
+	if b.Mic(0)[3] != 0 {
 		t.Error("double release caused buffer sharing")
 	}
 	a.Release()

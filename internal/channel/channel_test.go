@@ -51,7 +51,7 @@ func TestThorpAbsorptionMonotoneInBand(t *testing.T) {
 }
 
 func TestEnvironmentPresets(t *testing.T) {
-	for _, name := range Presets() {
+	for _, name := range []string{"pool", "dock", "viewpoint", "boathouse"} {
 		env, err := ByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -185,9 +185,6 @@ func TestTapHelpers(t *testing.T) {
 	tap := Tap{DelaySec: 0.01, Amplitude: 0.5}
 	if !tap.IsDirect() {
 		t.Error("no-bounce tap should be direct")
-	}
-	if got := tap.PathLen(1500); math.Abs(got-15) > 1e-12 {
-		t.Errorf("PathLen = %g", got)
 	}
 	if (Tap{Surface: 1}).IsDirect() {
 		t.Error("bounced tap cannot be direct")
@@ -352,7 +349,8 @@ func renderDirect(dst, wave []float64, taps []Tap, txStart int, fs float64) {
 		delay := tap.DelaySec * fs
 		whole := int(math.Floor(delay))
 		frac := delay - float64(whole)
-		kern := dsp.FractionalDelayTaps(frac, kernelTaps)
+		kern := make([]float64, kernelTaps)
+		dsp.FractionalDelayInto(kern, frac)
 		base := txStart + whole - half
 		for i, v := range wave {
 			if v == 0 {

@@ -30,7 +30,7 @@ type Arrival struct {
 type Source struct {
 	waveLen int
 	conv    *dsp.Convolver
-	ir      []float64 // impulse-response block, conv.MaxFilterLen() long
+	ir      []float64 // impulse-response block, as long as conv accepts
 	kern    [kernelTaps]float64
 }
 

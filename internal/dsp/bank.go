@@ -94,9 +94,6 @@ func (b *MatcherBank) Len() int { return len(b.ms) }
 // Matcher returns the i-th member matcher.
 func (b *MatcherBank) Matcher(i int) *Matcher { return b.ms[i] }
 
-// BlockLen returns the shared overlap-save FFT block length.
-func (b *MatcherBank) BlockLen() int { return b.block }
-
 // Stream opens an incremental scanning session over the bank: feed the
 // stream chunk by chunk and collect each template's normalized
 // correlation lags as they become computable.

@@ -171,7 +171,7 @@ func TestBankStreamMatchesOneShot(t *testing.T) {
 func TestBankStreamBoundedState(t *testing.T) {
 	r := rand.New(rand.NewSource(54))
 	b := bankOf(r, 300, 900)
-	x := randReal(r, 30*b.BlockLen())
+	x := randReal(r, 30*b.block)
 	s := b.Stream()
 	preCap := cap(s.pre)
 	rows := s.Feed(x)
@@ -179,9 +179,9 @@ func TestBankStreamBoundedState(t *testing.T) {
 	for i, row := range rows {
 		got[i] = append(got[i], row...)
 	}
-	if cap(s.buf) > b.BlockLen() || cap(s.pre) != preCap {
+	if cap(s.buf) > b.block || cap(s.pre) != preCap {
 		t.Fatalf("one large Feed grew session state: cap(buf) %d (block %d), cap(pre) %d -> %d",
-			cap(s.buf), b.BlockLen(), preCap, cap(s.pre))
+			cap(s.buf), b.block, preCap, cap(s.pre))
 	}
 	for i, row := range s.Flush() {
 		got[i] = append(got[i], row...)

@@ -94,13 +94,10 @@ func (fs *foldSpec) release() {
 	PutF64(fs.are)
 }
 
-// MaxFilterLen is the longest filter AddConvolved accepts.
-func (c *Convolver) MaxFilterLen() int { return c.maxH }
-
 // AddConvolved adds the full linear convolution h ⊛ x into dst, output
 // sample k landing on dst[at+k]; samples that fall outside dst are
-// dropped, and at may be negative. len(h) must not exceed MaxFilterLen.
-// It allocates nothing.
+// dropped, and at may be negative. len(h) must not exceed the maxH the
+// convolver was built with. It allocates nothing.
 func (c *Convolver) AddConvolved(dst []float64, at int, h []float64) {
 	if len(h) > c.maxH {
 		panic(fmt.Sprintf("dsp: %d-tap filter exceeds the Convolver's %d-tap limit", len(h), c.maxH))

@@ -32,8 +32,8 @@ func TestConvolverMatchesConvolve(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		c := NewConvolver(x, sz.maxH)
-		if got := c.MaxFilterLen(); got != sz.maxH {
-			t.Fatalf("MaxFilterLen = %d, want %d", got, sz.maxH)
+		if c.maxH != sz.maxH {
+			t.Fatalf("maxH = %d, want %d", c.maxH, sz.maxH)
 		}
 		for _, tc := range []struct{ hLen, at int }{
 			{1, 0}, {33, 50}, {sz.maxH, 10}, {sz.maxH / 2, -sz.xLen / 2}, {sz.maxH / 2, sz.xLen + 900},

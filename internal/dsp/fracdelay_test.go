@@ -1,0 +1,35 @@
+package dsp
+
+import (
+	"math"
+	"testing"
+)
+
+func TestFractionalDelayTaps(t *testing.T) {
+	h := make([]float64, 33)
+	FractionalDelayInto(h, 0.5)
+	var sum float64
+	for _, v := range h {
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Errorf("DC gain = %g, want 1", sum)
+	}
+	// Applying the kernel to a sine should shift it by (taps-1)/2 + frac.
+	const n, f = 512, 10.0
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Sin(2 * math.Pi * f * float64(i) / n)
+	}
+	frac := 0.37
+	taps := make([]float64, 33)
+	FractionalDelayInto(taps, frac)
+	y := directFilter(taps, x)
+	delay := float64(len(taps)-1)/2 + frac
+	for i := 100; i < n-100; i++ {
+		want := math.Sin(2 * math.Pi * f * (float64(i) - delay) / n)
+		if math.Abs(y[i]-want) > 0.02 {
+			t.Fatalf("fractional delay error %g at %d", math.Abs(y[i]-want), i)
+		}
+	}
+}

@@ -128,7 +128,7 @@ func TestConcurrentKernelTableConstruction(t *testing.T) {
 				got := scan(b, x)[0]
 				for i := range want {
 					if math.Abs(got[i]-want[i]) > 1e-9 {
-						t.Errorf("block %d lag %d: %g vs direct %g", b.BlockLen(), i, got[i], want[i])
+						t.Errorf("block %d lag %d: %g vs direct %g", b.block, i, got[i], want[i])
 						return
 					}
 				}

@@ -167,9 +167,6 @@ func DB(ratio float64) float64 {
 	return 10 * math.Log10(ratio)
 }
 
-// FromDB converts decibels to a linear power ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/10) }
-
 // WindowPowerDB returns the power of x[start:start+width] in dB relative to
 // the power of x[prevStart:prevStart+width]; used by the TH_SD window-based
 // detector baseline (Peng et al., BeepBeep).

@@ -86,7 +86,7 @@ func TestCorrelateUsesPoolConsistently(t *testing.T) {
 	b := NewMatcherBankLowLatency(NewMatcher(h))
 	for trial := 0; trial < 3; trial++ {
 		// Dirty same-class buffers on their way back to the pool.
-		for _, n := range []int{b.BlockLen(), b.BlockLen() / 2, b.BlockLen() + 1} {
+		for _, n := range []int{b.block, b.block / 2, b.block + 1} {
 			buf := GetF64(n)
 			for i := range buf {
 				buf[i] = math.NaN()

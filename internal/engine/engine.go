@@ -1,7 +1,8 @@
 // Package engine is the deterministic worker-pool trial runner every
 // Monte-Carlo evaluation in this repository is built on. A run fans N
-// independent trials across a bounded set of workers; results come back in
-// trial order, so callers see exactly what a serial loop would have
+// independent trials across a bounded set of workers and hands each result
+// to a sink: Stream in completion order, EachRange in trial order, so an
+// order-sensitive caller sees exactly what a serial loop would have
 // produced, only faster.
 //
 // # Seeding contract
@@ -25,12 +26,7 @@
 // by it, typically by threading it into sim.Config.Rng.
 package engine
 
-import (
-	"context"
-	"math/rand"
-	"sync"
-	"sync/atomic"
-)
+import "math/rand"
 
 // Config tunes a run.
 type Config struct {
@@ -65,56 +61,4 @@ func TrialSeed(seed int64, trial int) int64 {
 // Rand builds the canonical per-trial RNG for (seed, trial).
 func Rand(seed int64, trial int) *rand.Rand {
 	return rand.New(rand.NewSource(TrialSeed(seed, trial)))
-}
-
-// Run executes n trials of fn across the configured workers and returns
-// the n results in trial order. Each invocation fn(t, rng) receives the
-// trial index and that trial's private RNG per the package seeding
-// contract.
-//
-// If ctx is cancelled, no new trials start; trials that never ran hold
-// T's zero value and Run returns ctx.Err(). In-flight trials finish (they
-// are CPU-bound and un-interruptible by design).
-func Run[T any](ctx context.Context, cfg Config, n int, fn func(trial int, rng *rand.Rand) T) ([]T, error) {
-	out := make([]T, n)
-	if n == 0 {
-		return out, ctx.Err()
-	}
-	workers := workerCount(cfg, n)
-	if workers == 1 {
-		// Serial fast path: no goroutines, no atomics — the reference
-		// the parallel path must be indistinguishable from.
-		for t := 0; t < n; t++ {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-			out[t] = fn(t, Rand(cfg.Seed, t))
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1) - 1)
-				if t >= n || ctx.Err() != nil {
-					return
-				}
-				out[t] = fn(t, Rand(cfg.Seed, t))
-			}
-		}()
-	}
-	wg.Wait()
-	return out, ctx.Err()
-}
-
-// Map is Run minus the error plumbing for callers with no cancellation
-// story: it runs n trials on a background context and returns the results
-// in trial order.
-func Map[T any](cfg Config, n int, fn func(trial int, rng *rand.Rand) T) []T {
-	out, _ := Run(context.Background(), cfg, n, fn)
-	return out
 }

@@ -18,14 +18,22 @@ func heavyTrial(t int, rng *rand.Rand) float64 {
 	return s
 }
 
+// run collects a Stream into a slice in trial order, the way uwpos.LocateN
+// does; trials that never ran keep T's zero value.
+func run[T any](ctx context.Context, cfg Config, n int, fn func(trial int, rng *rand.Rand) T) ([]T, error) {
+	out := make([]T, n)
+	err := Stream(ctx, cfg, n, fn, func(t int, v T) { out[t] = v })
+	return out, err
+}
+
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	const n = 200
-	ref, err := Run(context.Background(), Config{Seed: 7, Workers: 1}, n, heavyTrial)
+	ref, err := run(context.Background(), Config{Seed: 7, Workers: 1}, n, heavyTrial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 64} {
-		got, err := Run(context.Background(), Config{Seed: 7, Workers: workers}, n, heavyTrial)
+		got, err := run(context.Background(), Config{Seed: 7, Workers: workers}, n, heavyTrial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,8 +46,8 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunSeedSensitivity(t *testing.T) {
-	a, _ := Run(context.Background(), Config{Seed: 1}, 32, heavyTrial)
-	b, _ := Run(context.Background(), Config{Seed: 2}, 32, heavyTrial)
+	a, _ := run(context.Background(), Config{Seed: 1}, 32, heavyTrial)
+	b, _ := run(context.Background(), Config{Seed: 2}, 32, heavyTrial)
 	same := 0
 	for i := range a {
 		if a[i] == b[i] {
@@ -65,7 +73,7 @@ func TestTrialSeedDecorrelatesAdjacentTrials(t *testing.T) {
 }
 
 func TestRunOrderPreserved(t *testing.T) {
-	out, err := Run(context.Background(), Config{Seed: 3, Workers: 8}, 100,
+	out, err := run(context.Background(), Config{Seed: 3, Workers: 8}, 100,
 		func(trial int, _ *rand.Rand) int { return trial * trial })
 	if err != nil {
 		t.Fatal(err)
@@ -77,36 +85,41 @@ func TestRunOrderPreserved(t *testing.T) {
 	}
 }
 
+// TestRunContextCancel: after cancellation no new trial starts, every
+// trial that did start is still delivered, and the unrun trials keep
+// their zero value — at one worker and at eight.
 func TestRunContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	_, err := Run(ctx, Config{Seed: 1, Workers: 2}, 10000, func(trial int, _ *rand.Rand) int {
-		if ran.Add(1) == 10 {
-			cancel()
+	for _, workers := range []int{1, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran atomic.Int64
+		out, err := run(ctx, Config{Seed: 1, Workers: workers}, 10000, func(trial int, _ *rand.Rand) int {
+			if ran.Add(1) == 10 {
+				cancel()
+			}
+			return trial + 1
+		})
+		if err != context.Canceled {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		return trial
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n >= 10000 {
-		t.Errorf("cancellation did not stop scheduling (ran %d)", n)
+		delivered := 0
+		for trial, v := range out {
+			switch v {
+			case 0:
+			case trial + 1:
+				delivered++
+			default:
+				t.Fatalf("workers=%d: trial %d holds %d", workers, trial, v)
+			}
+		}
+		if n := ran.Load(); n >= 10000 || int64(delivered) != n {
+			t.Errorf("workers=%d: ran %d trials, delivered %d", workers, n, delivered)
+		}
 	}
 }
 
 func TestRunZeroTrials(t *testing.T) {
-	out, err := Run(context.Background(), Config{Seed: 1}, 0, heavyTrial)
+	out, err := run(context.Background(), Config{Seed: 1}, 0, heavyTrial)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("out=%v err=%v", out, err)
-	}
-}
-
-func TestMapMatchesRun(t *testing.T) {
-	a := Map(Config{Seed: 5, Workers: 4}, 64, heavyTrial)
-	b, _ := Run(context.Background(), Config{Seed: 5, Workers: 1}, 64, heavyTrial)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trial %d: Map %v vs Run %v", i, a[i], b[i])
-		}
 	}
 }

@@ -8,22 +8,20 @@ import (
 	"sync/atomic"
 )
 
-// Streaming result delivery. Run collects all n results before the caller
-// sees any of them — fine for small sweeps, but it pins O(n) result memory
-// and delays aggregation until the slowest trial lands. Stream and
-// StreamOrdered instead hand each result to a sink as soon as it is
-// available, which is what lets online aggregators (stats.Welford,
-// stats.Sketch) scale trial counts past memory.
+// Result delivery. Both runners hand each result to a sink as soon as it
+// is available instead of collecting all n first, which is what lets
+// online aggregators (stats.Welford, stats.Sketch) scale trial counts past
+// memory; a caller that wants a slice fills it from the sink.
 //
-// Both variants keep the package seeding contract: trial t computes with
+// Both keep the package seeding contract: trial t computes with
 // Rand(cfg.Seed, t), so the multiset of delivered (trial, result) pairs is
 // identical for every worker count. What differs is delivery order:
 //
 //   - Stream delivers in completion order — arbitrary under parallelism.
 //     Use it when the sink is order-independent (counters, sums over
 //     commutative domains, per-trial side effects keyed by trial index).
-//   - StreamOrdered delivers in trial order via a bounded reorder window,
-//     so a sink observes exactly the sequence a serial loop would have
+//   - EachRange delivers in trial order via a bounded reorder window, so
+//     a sink observes exactly the sequence a serial loop would have
 //     produced — order-sensitive aggregation (floating-point sums,
 //     reservoir sampling) stays bit-identical at any worker count.
 //
@@ -46,7 +44,8 @@ func workerCount(cfg Config, n int) int {
 // each result to sink as soon as the trial completes. Delivery order is
 // arbitrary under parallelism; calls to sink are serialized on the calling
 // goroutine. If ctx is cancelled, no new trials start, in-flight trials
-// finish and are still delivered, and Stream returns ctx.Err().
+// finish and are still delivered, and Stream returns ctx.Err(); trials
+// that never ran are never delivered.
 func Stream[T any](ctx context.Context, cfg Config, n int, fn func(trial int, rng *rand.Rand) T, sink func(trial int, v T)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -54,7 +53,7 @@ func Stream[T any](ctx context.Context, cfg Config, n int, fn func(trial int, rn
 	workers := workerCount(cfg, n)
 	if workers == 1 {
 		// Serial fast path: trial order, no goroutines — the reference
-		// sequence StreamOrdered must be indistinguishable from.
+		// sequence the parallel paths must be indistinguishable from.
 		for t := 0; t < n; t++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -67,6 +66,8 @@ func Stream[T any](ctx context.Context, cfg Config, n int, fn func(trial int, rn
 		t int
 		v T
 	}
+	// One slot per worker, so a worker whose trial finishes while the
+	// sink runs can park its result and claim the next trial.
 	ch := make(chan item, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -93,44 +94,37 @@ func Stream[T any](ctx context.Context, cfg Config, n int, fn func(trial int, rn
 	return ctx.Err()
 }
 
-// StreamOrdered is Stream with in-order delivery: sink(t, v) calls arrive
-// strictly in trial order 0, 1, 2, …. A reorder window of a few times the
-// worker count buffers results that complete ahead of a slower earlier
-// trial; workers stall rather than run unboundedly ahead, so buffered
-// results never exceed the window regardless of per-trial cost variance.
-// On cancellation the sink has received a (possibly empty) prefix of the
-// trial sequence and StreamOrdered returns ctx.Err().
-func StreamOrdered[T any](ctx context.Context, cfg Config, n int, fn func(trial int, rng *rand.Rand) T, sink func(trial int, v T)) error {
-	return StreamOrderedRange(ctx, cfg, 0, n, fn, sink)
-}
-
-// StreamOrderedRange is StreamOrdered over the half-open trial span
-// [lo, hi). Trial indices are global: trial t still computes with
+// EachRange executes trials [lo, hi) of fn across the configured workers
+// and delivers the results to sink strictly in trial order lo, lo+1, …,
+// hi-1. Trial indices are global: trial t still computes with
 // Rand(cfg.Seed, t), so a span's results are bit-identical to the same
 // trials of a full run — the primitive behind shard fan-out (each shard
 // runs its contiguous span of the global trial sequence) and
-// checkpoint/resume (restart from the first undelivered trial). Delivery
-// is in trial order lo, lo+1, …, hi-1.
-func StreamOrderedRange[T any](ctx context.Context, cfg Config, lo, hi int, fn func(trial int, rng *rand.Rand) T, sink func(trial int, v T)) error {
+// checkpoint/resume (restart from the first undelivered trial).
+//
+// A reorder window of a few times the worker count buffers results that
+// complete ahead of a slower earlier trial; workers stall rather than run
+// unboundedly ahead, so buffered results never exceed the window
+// regardless of per-trial cost variance.
+func EachRange[T any](cfg Config, lo, hi int, fn func(trial int, rng *rand.Rand) T, sink func(trial int, v T)) {
 	n := hi - lo
 	if n <= 0 {
-		return ctx.Err()
+		return
 	}
 	workers := workerCount(cfg, n)
 	if workers == 1 {
 		for t := lo; t < hi; t++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			sink(t, fn(t, Rand(cfg.Seed, t)))
 		}
-		return nil
+		return
 	}
 	window := 4 * workers
 	type item struct {
 		t int
 		v T
 	}
+	// Sized to the window: at most window trials are claimed and
+	// undelivered at once, so a send never blocks.
 	ch := make(chan item, window)
 	// Credits bound claimed-but-undelivered trials to the window. A worker
 	// acquires a credit *before* claiming a trial index, so indices are
@@ -147,12 +141,7 @@ func StreamOrderedRange[T any](ctx context.Context, cfg Config, lo, hi int, fn f
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-credits:
-				}
+			for range credits {
 				t := lo + int(next.Add(1)-1)
 				if t >= hi {
 					return
@@ -184,19 +173,4 @@ func StreamOrderedRange[T any](ctx context.Context, cfg Config, lo, hi int, fn f
 			}
 		}
 	}
-	return ctx.Err()
-}
-
-// Each is StreamOrdered minus the error plumbing for callers with no
-// cancellation story: n trials on a background context, results delivered
-// to sink in trial order.
-func Each[T any](cfg Config, n int, fn func(trial int, rng *rand.Rand) T, sink func(trial int, v T)) {
-	_ = StreamOrdered(context.Background(), cfg, n, fn, sink)
-}
-
-// EachRange is StreamOrderedRange minus the error plumbing: trials
-// [lo, hi) on a background context, delivered to sink in trial order with
-// global trial indices.
-func EachRange[T any](cfg Config, lo, hi int, fn func(trial int, rng *rand.Rand) T, sink func(trial int, v T)) {
-	_ = StreamOrderedRange(context.Background(), cfg, lo, hi, fn, sink)
 }

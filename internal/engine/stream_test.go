@@ -14,7 +14,7 @@ import (
 // overlap.
 func TestStreamDeliversEveryTrialOnce(t *testing.T) {
 	const n = 500
-	want, err := Run(context.Background(), Config{Seed: 9, Workers: 1}, n, heavyTrial)
+	want, err := run(context.Background(), Config{Seed: 9, Workers: 1}, n, heavyTrial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +82,15 @@ func TestStreamOutOfOrderDelivery(t *testing.T) {
 	}
 }
 
-// TestStreamOrderedMatchesSerial pins the ordered contract: the sink sees
-// exactly the sequence a serial loop produces, for every worker count.
+// TestStreamOrderedMatchesSerial pins EachRange's ordered contract: the
+// sink sees exactly the sequence a serial loop produces, for every worker
+// count.
 func TestStreamOrderedMatchesSerial(t *testing.T) {
 	const n = 400
-	want, _ := Run(context.Background(), Config{Seed: 11, Workers: 1}, n, heavyTrial)
+	want, _ := run(context.Background(), Config{Seed: 11, Workers: 1}, n, heavyTrial)
 	for _, workers := range []int{2, 3, 8, 32} {
 		nextTrial := 0
-		err := StreamOrdered(context.Background(), Config{Seed: 11, Workers: workers}, n, heavyTrial,
+		EachRange(Config{Seed: 11, Workers: workers}, 0, n, heavyTrial,
 			func(trial int, v float64) {
 				if trial != nextTrial {
 					t.Fatalf("workers=%d: delivered trial %d, want %d", workers, trial, nextTrial)
@@ -99,18 +100,15 @@ func TestStreamOrderedMatchesSerial(t *testing.T) {
 				}
 				nextTrial++
 			})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if nextTrial != n {
 			t.Fatalf("workers=%d: delivered %d of %d", workers, nextTrial, n)
 		}
 	}
 }
 
-// TestStreamOrderedSlowHead forces the pathological reorder case — trial 0
-// far slower than everything else — and checks delivery stays in order
-// with bounded buffering (the credit window stalls the fast workers
+// TestStreamOrderedSlowHead forces EachRange's pathological reorder case —
+// trial 0 far slower than everything else — and checks delivery stays in
+// order with bounded buffering (the credit window stalls the fast workers
 // instead of letting them run all n trials ahead).
 func TestStreamOrderedSlowHead(t *testing.T) {
 	const n = 200
@@ -118,7 +116,7 @@ func TestStreamOrderedSlowHead(t *testing.T) {
 	var once sync.Once
 	release := make(chan struct{})
 	nextTrial := 0
-	err := StreamOrdered(context.Background(), Config{Seed: 2, Workers: 4}, n,
+	EachRange(Config{Seed: 2, Workers: 4}, 0, n,
 		func(trial int, _ *rand.Rand) int {
 			if trial == 0 {
 				<-release // stall the head until later trials have piled up
@@ -140,9 +138,6 @@ func TestStreamOrderedSlowHead(t *testing.T) {
 			}
 			nextTrial++
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if nextTrial != n {
 		t.Fatalf("delivered %d of %d", nextTrial, n)
 	}
@@ -167,47 +162,22 @@ func TestStreamContextCancel(t *testing.T) {
 	}
 }
 
-func TestStreamOrderedCancelDeliversPrefix(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	nextTrial := 0
-	err := StreamOrdered(ctx, Config{Seed: 1, Workers: 4}, 100000,
-		func(trial int, _ *rand.Rand) int {
-			if ran.Add(1) == 50 {
-				cancel()
-			}
-			return trial
-		},
-		func(trial int, _ int) {
-			if trial != nextTrial {
-				t.Fatalf("gap in prefix: delivered %d, want %d", trial, nextTrial)
-			}
-			nextTrial++
-		})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if nextTrial >= 100000 {
-		t.Error("cancellation did not stop delivery")
-	}
-}
-
 func TestStreamZeroTrials(t *testing.T) {
 	called := false
 	if err := Stream(context.Background(), Config{Seed: 1}, 0, heavyTrial,
 		func(int, float64) { called = true }); err != nil || called {
 		t.Fatalf("err=%v called=%v", err, called)
 	}
-	if err := StreamOrdered(context.Background(), Config{Seed: 1}, 0, heavyTrial,
-		func(int, float64) { called = true }); err != nil || called {
-		t.Fatalf("ordered: err=%v called=%v", err, called)
+	EachRange(Config{Seed: 1}, 5, 5, heavyTrial, func(int, float64) { called = true })
+	if called {
+		t.Fatal("EachRange delivered from an empty span")
 	}
 }
 
 func TestEachMatchesRun(t *testing.T) {
-	want, _ := Run(context.Background(), Config{Seed: 6, Workers: 1}, 64, heavyTrial)
+	want, _ := run(context.Background(), Config{Seed: 6, Workers: 1}, 64, heavyTrial)
 	i := 0
-	Each(Config{Seed: 6, Workers: 4}, 64, heavyTrial, func(trial int, v float64) {
+	EachRange(Config{Seed: 6, Workers: 4}, 0, 64, heavyTrial, func(trial int, v float64) {
 		if trial != i || v != want[i] {
 			t.Fatalf("trial %d value %v, want trial %d value %v", trial, v, i, want[i])
 		}

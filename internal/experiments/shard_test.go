@@ -10,8 +10,9 @@ import (
 
 // shardTestIDs are the experiments the merge-identity test exercises: one
 // analytical sweep (many small stages), one sensor study (run-rng sensor
-// construction shared by all shards), one engine.Map-style study, one
-// counter-only experiment, and the serial shard-0-only probe study.
+// construction shared by all shards), one study whose trials return whole
+// table rows, one counter-only experiment, and the serial shard-0-only
+// probe study.
 var shardTestIDs = []string{"fig06a", "fig13b", "fig16", "ablation-prefilter", "fig22"}
 
 func testOpt(seed int64, workers int) Options {

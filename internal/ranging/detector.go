@@ -130,18 +130,9 @@ func (d *Detector) Consumer(template int) *StreamDetector {
 	return newStreamConsumer(d.params, d.cfg, template)
 }
 
-// ValidateCandidate computes the PN auto-correlation score for a candidate
-// preamble start: the mean pairwise correlation of the four PN-corrected
-// OFDM symbol bodies. Out-of-range candidates score 0. The stream must
-// already be band-limited if the detector's prefilter is enabled (Detect
-// and StreamDetector handle this internally).
-func (d *Detector) ValidateCandidate(stream []float64, start int) float64 {
-	return validatePN(d.params, stream, start)
-}
-
 // validatePN is the stage-2 scoring shared by the one-shot and streaming
 // detectors: the mean pairwise correlation of the PN-corrected OFDM
-// symbol bodies at the candidate start.
+// symbol bodies at the candidate start. Out-of-range candidates score 0.
 func validatePN(p sig.Params, stream []float64, start int) float64 {
 	if start < 0 || start+p.PreambleLen() > len(stream) {
 		return 0

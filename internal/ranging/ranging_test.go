@@ -150,21 +150,20 @@ func TestDetectorRejectsImpulsiveSpikes(t *testing.T) {
 func TestValidateCandidateExact(t *testing.T) {
 	p := testParams()
 	stream := makeStream(t, p, 5000, 30000, 1, 0, 5)
-	d := NewDetector(p, DetectorConfig{})
-	if s := d.ValidateCandidate(stream, 5000); s < 0.999 {
+	if s := validatePN(p, stream, 5000); s < 0.999 {
 		t.Errorf("noiseless validation score %g", s)
 	}
 	// A misaligned candidate scores lower than aligned (the cyclic-prefix
 	// structure keeps some correlation at any shift, so the margin is
 	// moderate rather than total).
-	if s := d.ValidateCandidate(stream, 5000+977); s > 0.9 {
+	if s := validatePN(p, stream, 5000+977); s > 0.9 {
 		t.Errorf("misaligned score %g unexpectedly high", s)
 	}
 	// Out of range is 0.
-	if s := d.ValidateCandidate(stream, -1); s != 0 {
+	if s := validatePN(p, stream, -1); s != 0 {
 		t.Error("negative index should score 0")
 	}
-	if s := d.ValidateCandidate(stream, len(stream)); s != 0 {
+	if s := validatePN(p, stream, len(stream)); s != 0 {
 		t.Error("past-end index should score 0")
 	}
 }
@@ -424,7 +423,7 @@ func TestBeepBeepLocksOntoStrongestPathUnderOcclusion(t *testing.T) {
 
 func TestCATArrivalClean(t *testing.T) {
 	const fs = 44100.0
-	sweep := sig.FMCWSweep(1000, 5000, 9840, fs)
+	sweep := sig.LinearChirp(1000, 5000, 9840, fs)
 	r := rand.New(rand.NewSource(13))
 	stream := make([]float64, 40000)
 	for i := range stream {

@@ -36,7 +36,7 @@ import (
 //     nothing but that dedup can change a decided stretch, and Settled
 //     reports the prefix of the set no later audio can change.
 //
-// A session created by NewStreamDetector or Detector.Stream owns its
+// A session created by Detector.Stream or Detector.StreamWith owns its
 // pipeline: Feed pushes buffers, Flush closes the stream and returns the
 // final set. A session created by Detector.Consumer is driven by an
 // external shared pipeline instead — register it, push buffers to that
@@ -95,13 +95,6 @@ func (c candidate) stronger(o candidate) bool {
 		return c.corr > o.corr
 	}
 	return c.idx < o.idx
-}
-
-// NewStreamDetector builds a chunked detection session for the given
-// preamble numerology. Equivalent to NewDetector(p, cfg).Stream().
-func NewStreamDetector(p sig.Params, cfg DetectorConfig) *StreamDetector {
-	cfg.defaults(p)
-	return newStreamDetector(p, cfg, sig.SharedMatcher("preamble", p, sig.SharedPreamble), nil)
 }
 
 // newStreamDetector builds a standalone session: a consumer-mode detector

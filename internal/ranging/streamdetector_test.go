@@ -274,7 +274,7 @@ func TestStreamDetectorCandidateCapIsCausal(t *testing.T) {
 // TestStreamDetectorFedAndPanic covers the bookkeeping contract.
 func TestStreamDetectorFedAndPanic(t *testing.T) {
 	p := testParams()
-	sd := NewStreamDetector(p, DetectorConfig{})
+	sd := NewDetector(p, DetectorConfig{}).Stream()
 	sd.Feed(make([]float64, 1000))
 	sd.Feed(nil)
 	if sd.Fed() != 1000 {

@@ -53,6 +53,8 @@ func TestCreateBounds(t *testing.T) {
 		{"1000 divers", marshal(map[string]any{"env": "dock", "divers": diverList(1000)}), http.StatusBadRequest, "Divers"},
 		{"coordinate overflows float64", []byte(`{"env":"dock","divers":[{"x":0,"z":2},{"x":1e999,"z":2},{"x":5,"z":2}]}`), http.StatusBadRequest, "body"},
 		{"body over the cap", append(bytes.Repeat([]byte(" "), maxBodyBytes), marshal(dock4)...), http.StatusBadRequest, "body"},
+		{"diver below the bottom", []byte(`{"env":"dock","divers":[{"x":0,"z":2},{"x":5,"z":500},{"x":9,"z":2}]}`), http.StatusBadRequest, "Divers[1]"},
+		{"diver above the surface", []byte(`{"env":"dock","divers":[{"x":0,"z":2},{"x":5,"z":-3},{"x":9,"z":2}]}`), http.StatusBadRequest, "Divers[1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -156,7 +156,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 	const trials = 2
 	run := func(workers int) []string {
-		return engine.Map(engine.Config{Workers: workers}, trials, func(trial int, rng *rand.Rand) string {
+		out := make([]string, trials)
+		engine.EachRange(engine.Config{Workers: workers}, 0, trials, func(trial int, rng *rand.Rand) string {
 			cfg := threeDeviceDock(0)
 			cfg.Rng = rng
 			nw, err := NewNetwork(cfg)
@@ -170,7 +171,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 				return ""
 			}
 			return dumpRound(res)
-		})
+		}, func(trial int, v string) { out[trial] = v })
+		return out
 	}
 	serial := run(1)
 	parallel := run(8)

@@ -236,9 +236,6 @@ func pairKey(a, b int) [2]int {
 // Params exposes the preamble numerology in use.
 func (nw *Network) Params() sig.Params { return nw.params }
 
-// Proto exposes the protocol timing in use.
-func (nw *Network) Proto() protocol.Params { return nw.proto }
-
 // N returns the device count.
 func (nw *Network) N() int { return len(nw.cfg.Devices) }
 
@@ -272,8 +269,8 @@ func (nw *Network) SoundSpeedAssumed() float64 {
 // it also lets the leader compute D(0,i) for leader-synced devices purely
 // from slot arithmetic, without waiting for the report phase.
 // The buffer comes from the shared dsp scratch pool; callers release it
-// with releaseWave once it has been written to the speaker stream and
-// rendered through the channel (both copy).
+// with releaseWave once it has been rendered through the channel (which
+// copies).
 func (nw *Network) messageWave(id, syncID int) []float64 {
 	pre := nw.pre
 	mfsk := sig.NewMFSK(nw.N(), nw.params.SampleRate)

@@ -97,7 +97,6 @@ func (nw *Network) RangeOnce(ctx context.Context, method RangingMethod) (RangeTr
 	// A transmits.
 	txIdx := int(txAt * fs)
 	a.txIndex = txIdx
-	a.stack.WriteSpeaker(txIdx, wave)
 	nw.renderTransmission(a, txIdx, wave)
 
 	// B estimates arrival and replies.
@@ -110,7 +109,6 @@ func (nw *Network) RangeOnce(ctx context.Context, method RangingMethod) (RangeTr
 	}
 	replyIdx := b.stack.ReplyIndex(int(math.Round(arrB)), replyGap)
 	b.txIndex = replyIdx
-	b.stack.WriteSpeaker(replyIdx, wave)
 	nw.renderTransmission(b, replyIdx, wave)
 
 	// A estimates the reply arrival, skipping its own transmission.

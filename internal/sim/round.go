@@ -114,7 +114,6 @@ func (nw *Network) transmitQuery() {
 	leader.txIndex = queryIdx
 	leader.zero = float64(queryIdx - leader.stack.IndexOffset())
 	leader.slot = 0
-	leader.stack.WriteSpeaker(queryIdx, queryWave)
 	nw.renderTransmission(leader, queryIdx, queryWave)
 	releaseWave(queryWave)
 }
@@ -225,15 +224,14 @@ func (nw *Network) addNoise() {
 // device (appendix, Fig. 21). ctx is checked once per device scan.
 func (nw *Network) calibrateAll(ctx context.Context) error {
 	bank := calibrationBank(nw.params)
-	wave := bank.Matcher(0).Template() // shared, read-only; WriteSpeaker and rendering copy
+	wave := bank.Matcher(0).Template() // shared, read-only; rendering copies
 	fs := nw.params.SampleRate
-	// All devices write, then all detect (cross-talk is rendered too:
+	// All devices play, then all detect (cross-talk is rendered too:
 	// remote calibrations are far weaker than the near-field loopback).
 	idxs := make([]int, len(nw.devices))
 	for i, d := range nw.devices {
 		idx := int(calWriteAt * fs)
 		idxs[i] = idx
-		d.stack.WriteSpeaker(idx, wave)
 		nw.renderTransmission(d, idx, wave)
 	}
 	for i, d := range nw.devices {
@@ -287,7 +285,6 @@ func (nw *Network) scheduleReply(d *simDevice) bool {
 	txIdx := d.stack.ReplyIndex(m2, offset)
 	wave := nw.messageWave(d.id, src.From)
 	d.txIndex = txIdx
-	d.stack.WriteSpeaker(txIdx, wave)
 	nw.renderTransmission(d, txIdx, wave)
 	releaseWave(wave)
 	return true
@@ -598,7 +595,6 @@ func (nw *Network) reportBack(res *RoundResult, table *protocol.Table) error {
 		// (§2.4), so the report slot is common.
 		offset := nw.reportAt() - nw.slotTime(d.sync.From)
 		txIdx := d.stack.ReplyIndex(int(math.Round(syncArr.toa.ArrivalIdx)), offset)
-		d.stack.WriteSpeaker(txIdx, wave)
 		nw.renderTransmission(d, txIdx, wave)
 	}
 	// Leader demodulates each device's band; alignment is predicted from

@@ -76,14 +76,14 @@ func TestSketchMergeExactShardsBitIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			stream := trialStream(42, tc.n)
 
-			single := NewSketchSize(tc.capac)
+			single := newSketchSize(tc.capac)
 			for _, v := range stream {
 				single.Add(v)
 			}
 
-			merged := NewSketchSize(tc.capac)
+			merged := newSketchSize(tc.capac)
 			for _, span := range splitSpans(tc.n, tc.shards) {
-				shard := NewSketchSize(tc.capac)
+				shard := newSketchSize(tc.capac)
 				for _, v := range stream[span[0]:span[1]] {
 					shard.Add(v)
 				}
@@ -119,15 +119,15 @@ func TestSketchMergeRandomSplitsProperty(t *testing.T) {
 		capac := 2 + rng.Intn(100)
 		stream := trialStream(int64(iter), n)
 
-		single := NewSketchSize(capac)
+		single := newSketchSize(capac)
 		for _, v := range stream {
 			single.Add(v)
 		}
 
-		merged := NewSketchSize(capac)
+		merged := newSketchSize(capac)
 		for lo := 0; lo < n; {
 			hi := lo + 1 + rng.Intn(n-lo)
-			shard := NewSketchSize(capac)
+			shard := newSketchSize(capac)
 			for _, v := range stream[lo:hi] {
 				shard.Add(v)
 			}
@@ -148,17 +148,17 @@ func TestSketchMergeRandomSplitsProperty(t *testing.T) {
 
 // Merging into a fresh sketch adopts the source state exactly.
 func TestSketchMergeIntoEmpty(t *testing.T) {
-	src := NewSketchSize(32)
+	src := newSketchSize(32)
 	for _, v := range trialStream(3, 20) {
 		src.Add(v)
 	}
-	dst := NewSketchSize(32)
+	dst := newSketchSize(32)
 	dst.Merge(src)
 	sketchStateEqual(t, dst, src)
 
-	dst2 := NewSketchSize(32)
+	dst2 := newSketchSize(32)
 	dst2.Merge(nil)
-	dst2.Merge(NewSketchSize(32))
+	dst2.Merge(newSketchSize(32))
 	if dst2.Count() != 0 {
 		t.Fatalf("merging nil/empty changed count to %d", dst2.Count())
 	}
@@ -174,8 +174,8 @@ func TestSketchMergeReservoirTolerance(t *testing.T) {
 	stream := trialStream(11, 2*n)
 
 	build := func() *Sketch {
-		a := NewSketchSize(capac)
-		b := NewSketchSize(capac)
+		a := newSketchSize(capac)
+		b := newSketchSize(capac)
 		for _, v := range stream[:n] {
 			a.Add(v)
 		}
@@ -188,8 +188,8 @@ func TestSketchMergeReservoirTolerance(t *testing.T) {
 	m1, m2 := build(), build()
 	sketchStateEqual(t, m1, m2) // deterministic: pure function of inputs
 
-	single := NewSketchSize(capac)
-	exact := NewSketchSize(len(stream))
+	single := newSketchSize(capac)
+	exact := newSketchSize(len(stream))
 	for _, v := range stream {
 		single.Add(v)
 		exact.Add(v)
@@ -259,7 +259,7 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 		{"reservoir", 64, 500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewSketchSize(tc.capac)
+			s := newSketchSize(tc.capac)
 			for _, v := range trialStream(9, tc.n) {
 				s.Add(v)
 			}
@@ -291,7 +291,7 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 // variant of a valid blob must fail decode, never yield silent garbage.
 func TestCodecCorruptionMatrix(t *testing.T) {
 	var w Welford
-	s := NewSketchSize(16)
+	s := newSketchSize(16)
 	for _, v := range trialStream(21, 40) {
 		w.Add(v)
 		s.Add(v)
@@ -351,7 +351,7 @@ func reseal(body, blob []byte) {
 
 // Internally-inconsistent but well-framed sketch blobs must be rejected.
 func TestSketchCodecRejectsInconsistentFields(t *testing.T) {
-	s := NewSketchSize(16)
+	s := newSketchSize(16)
 	for _, v := range trialStream(2, 10) {
 		s.Add(v)
 	}
@@ -364,7 +364,7 @@ func TestSketchCodecRejectsInconsistentFields(t *testing.T) {
 		return b
 	}
 	cases := map[string][]byte{
-		// cap 0 (< 2) is never produced by NewSketchSize.
+		// cap 0 (< 2) is never produced by newSketchSize.
 		"zero-cap": corruptField(func(b []byte) { b[6], b[7], b[8], b[9] = 0, 0, 0, 0 }),
 		// n below the retained count is impossible.
 		"count-exceeds-n": corruptField(func(b []byte) {

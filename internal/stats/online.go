@@ -17,7 +17,7 @@ import (
 // O(1) memory, numerically stable, exact mean and sample variance for any
 // stream length. The zero value is ready to use. Results depend on
 // insertion order only through floating-point rounding; feed it from an
-// order-deterministic source (engine.StreamOrdered, or any serial loop)
+// order-deterministic source (engine.EachRange, or any serial loop)
 // when bit-reproducibility across worker counts matters.
 type Welford struct {
 	n    int64
@@ -127,7 +127,7 @@ func newSketchSource(draws uint64) *countingSource {
 // over the retained values in exact mode, Welford beyond.
 //
 // A Sketch is deterministic given its insertion order; deliver from
-// engine.StreamOrdered to keep results identical across worker counts.
+// engine.EachRange to keep results identical across worker counts.
 // Not safe for concurrent use (engine sinks are serialized).
 type Sketch struct {
 	cap  int
@@ -138,11 +138,11 @@ type Sketch struct {
 }
 
 // NewSketch returns a Sketch with DefaultSketchSize capacity.
-func NewSketch() *Sketch { return NewSketchSize(DefaultSketchSize) }
+func NewSketch() *Sketch { return newSketchSize(DefaultSketchSize) }
 
-// NewSketchSize returns a Sketch retaining at most capacity values.
+// newSketchSize returns a Sketch retaining at most capacity values.
 // capacity < 2 is raised to 2.
-func NewSketchSize(capacity int) *Sketch {
+func newSketchSize(capacity int) *Sketch {
 	if capacity < 2 {
 		capacity = 2
 	}

@@ -68,7 +68,7 @@ func TestWelfordMerge(t *testing.T) {
 // collected-slice path bit for bit.
 func TestSketchExactModeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	s := NewSketchSize(512)
+	s := newSketchSize(512)
 	var xs []float64
 	for i := 0; i < 500; i++ {
 		v := rng.NormFloat64() * 3
@@ -136,7 +136,7 @@ func TestSketchReservoirErrorBound(t *testing.T) {
 // reservoirs (no global randomness).
 func TestSketchDeterministic(t *testing.T) {
 	feed := func() *Sketch {
-		s := NewSketchSize(64)
+		s := newSketchSize(64)
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < 5000; i++ {
 			s.Add(rng.NormFloat64())

@@ -178,6 +178,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	specs := make([]sim.DeviceSpec, len(cfg.Divers))
 	for i, d := range cfg.Divers {
+		if !(d.Pos.Z >= 0 && d.Pos.Z <= cfg.Env.BottomDepthM) {
+			return nil, configErrf(fmt.Sprintf("Divers[%d]", i), "depth %g outside the water column [0, %g]", d.Pos.Z, cfg.Env.BottomDepthM)
+		}
 		m := d.Model
 		if m == nil {
 			m = device.GalaxyS9()
